@@ -238,6 +238,10 @@ def _cmd_boost(args):
     events = [st.Event.from_json(item) for item in _load_json(args.events)]
     params = {"events": args.events, "tol": st.default_tol()}
     if args.orderings:
+        if not args.speed_step > 0.0:
+            raise ValueError(f"--speed-step must be > 0, got {args.speed_step}")
+        if args.n_directions < 1:
+            raise ValueError(f"--n-directions must be >= 1, got {args.n_directions}")
         d = events[0].d
         grid = st.VelocityGrid.for_dimension(
             d,
@@ -410,17 +414,29 @@ def _fmt_scalar(value) -> str:
 # Options whose value is a comma-separated number list. argparse's
 # negative-number pattern matches a bare decimal only, so it takes a value
 # such as "-0.4,1.6" or "-1e-05" for an option string. ``main`` therefore
-# passes each of these options its value as ``OPT=VALUE``.
+# passes each of these options its value as ``OPT=VALUE``, also when the
+# option is given by a unique prefix of its name, as argparse allows.
 _NUMBER_LIST_OPTIONS = frozenset({"--angles", "--position", "--sweep-range", "--v"})
 
 
-def _attach_number_lists(argv: list[str]) -> list[str]:
+def _attach_number_lists(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Rewrite ``OPT VALUE`` as ``OPT=VALUE`` for the number-list options,
+    where OPT may also be a unique prefix of one of the subcommand's options."""
+    command = next((token for token in argv if not token.startswith("-")), None)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices.get(command)
+    options = sub._option_string_actions if sub is not None else {}
     out = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in _NUMBER_LIST_OPTIONS and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
-            token = f"{token}={argv[i + 1]}"
+        name = token
+        if token.startswith("--") and token not in options:
+            matches = [o for o in options if o.startswith(token)]
+            if len(matches) == 1:
+                name = matches[0]
+        if name in _NUMBER_LIST_OPTIONS and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
+            token = f"{name}={argv[i + 1]}"
             i += 1
         out.append(token)
         i += 1
@@ -430,7 +446,7 @@ def _attach_number_lists(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_number_lists(argv))
+    args = parser.parse_args(_attach_number_lists(parser, argv))
     started = time.perf_counter()
     try:
         results, params, ok = _DISPATCH[args.command](args)

@@ -17,12 +17,17 @@ the jammer's cone, counts as satisfying the condition. Mutual spacelike
 separation is enforced strictly (squared interval below -tol), so
 boundary placements of j are excluded from valid configurations.
 
-In one space dimension the overlap of the two forward cones is itself a
-cone and the jammer may act up to one light-crossing time after both
-measurements (in canonical units, t = 1, not attained). In two or more
-space dimensions the critical set is the intersection of the two cone
-surfaces, which recedes to infinity, and the jammer can never act after
-both measurements: the latest canonical-frame time is 0.
+Both decisions are closed forms in the canonical frame, where a and b sit
+at (-1, 0...; 0) and (+1, 0...; 0) and j at (j1, w_vec; jt), w = |w_vec|.
+In one space dimension the overlap of the two forward cones is the
+forward cone of its apex (0; 1), so the binary margin is the apex slack
+1 - jt - |j1|, and the jammer may act up to one light-crossing time after
+both measurements (t = 1 - |x1|, not attained). In two or more space
+dimensions the critical set is the intersection of the two cone surfaces,
+which recedes to infinity; the margin is -jt - hypot(max(|j1| - 1, 0), w),
+i.e. -jt minus the distance from j to the segment [a, b], and the jammer
+can never act after both measurements: the latest time is -|x_perp|,
+at most 0. Grunhaus, Popescu & Rohrlich, Phys. Rev. A 53, 3781 (1996).
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .spacetime import (
     Event,
     IntervalClass,
     LightCone,
-    canonicalize_pair,
     cone_slack,
     default_tol,
     interval,
@@ -74,6 +78,11 @@ class JammingConfiguration:
 
     @classmethod
     def from_json(cls, data) -> "JammingConfiguration":
+        if not isinstance(data, dict):
+            raise ValueError(f"configuration JSON must be an object, got {type(data).__name__}")
+        missing = [key for key in "abj" if key not in data]
+        if missing:
+            raise ValueError(f"configuration JSON lacks key(s) {', '.join(map(repr, missing))}")
         cfg = cls(
             a=Event.from_json(data["a"]),
             b=Event.from_json(data["b"]),
@@ -123,11 +132,16 @@ def validate_configuration(
 class BinaryVerdict:
     """Outcome of the cone-containment check.
 
-    ``margin`` is the minimum containment slack (t - j_t) - |x - j| over the
-    critical set, measured in the canonical frame where the measurement
-    events sit at (-1, 0...; 0) and (+1, 0...; 0). ``witness`` is a point of
-    the cone overlap outside the jammer's cone (original coordinates) when
-    the condition fails.
+    ``margin`` is the canonical-frame containment slack, where a and b sit
+    at (-1, 0...; 0) and (+1, 0...; 0) and j at (j1, w_vec; jt), w = |w_vec|:
+
+    * d = 1: ``1 - jt - |j1|``, the slack of the overlap's apex (0; 1);
+    * d >= 2: ``-jt - hypot(max(|j1| - 1, 0), w)``, the infimum of the slack
+      over the cone-surface intersection (-jt - w when |j1| <= 1, reached
+      only as t -> infinity).
+
+    ``witness`` is a point of the closed cone overlap strictly outside the
+    jammer's cone (original coordinates) when the condition fails.
     """
 
     holds: bool
@@ -142,90 +156,38 @@ class BinaryVerdict:
         }
 
 
-def _ridge_slack(t: float, j1: float, wnorm: float, jt: float) -> float:
-    """Containment slack of the worst cone-surface-intersection point at time t.
-
-    The intersection of the two cone surfaces at canonical time t >= 1 is a
-    sphere of radius sqrt(t^2 - 1) in the subspace orthogonal to the
-    measurement axis; the farthest point from the jammer's spatial position
-    (axis offset j1, orthogonal offset wnorm) sits opposite its orthogonal
-    component. Written in a form stable for very large t.
-    """
-    r = math.sqrt((t - 1.0) * (t + 1.0))
-    u = r + wnorm
-    dd = math.hypot(j1, u)
-    tail = 0.0 if j1 == 0.0 else (j1 * j1) / (dd + u)
-    return 1.0 / (t + r) - jt - wnorm - tail
-
-
-def _ridge_slack_vec(ts: np.ndarray, j1: float, wnorm: float, jt: float) -> np.ndarray:
-    r = np.sqrt((ts - 1.0) * (ts + 1.0))
-    u = r + wnorm
-    dd = np.hypot(j1, u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail = np.where(dd + u > 0.0, (j1 * j1) / (dd + u), 0.0)
-    return 1.0 / (ts + r) - jt - wnorm - tail
-
-
-def _golden_min(f, lo: float, hi: float, max_iter: int = 120):
-    """Golden-section minimum of f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= 1e-9 * (1.0 + abs(a)):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-_RIDGE_T_MAX = 1e12
-_RIDGE_GRID_POINTS = 480
-_ridge_grid_cache: np.ndarray | None = None
-
-
-def _ridge_grid() -> np.ndarray:
-    global _ridge_grid_cache
-    if _ridge_grid_cache is None:
-        offsets = np.geomspace(1e-12, _RIDGE_T_MAX - 1.0, _RIDGE_GRID_POINTS)
-        grid = np.concatenate(([1.0], 1.0 + offsets))
-        grid.setflags(write=False)
-        _ridge_grid_cache = grid
-    return _ridge_grid_cache
-
-
-def _is_canonical_pair(a: Event, b: Event) -> bool:
-    # exact equality: the fast path must be bit-identical to canonicalizing
-    return (
-        a.t == 0.0
-        and b.t == 0.0
-        and a.x[0] == -1.0
-        and b.x[0] == 1.0
-        and all(c == 0.0 for c in a.x[1:])
-        and all(c == 0.0 for c in b.x[1:])
-    )
+def _orthogonal_unit(u: list[float]) -> list[float]:
+    """A unit vector orthogonal to the unit vector u (len(u) >= 2)."""
+    k = min(range(len(u)), key=lambda i: abs(u[i]))
+    e = [-u[k] * c for c in u]
+    e[k] += 1.0
+    norm = math.hypot(*e)
+    return [c / norm for c in e]
 
 
 def binary_condition(cfg: JammingConfiguration, tol: float | None = None) -> BinaryVerdict:
     """Decide whether the overlap of the forward cones of a and b lies
-    within the forward cone of j (closed sets).
+    within the forward cone of j (closed sets), in closed form.
 
-    The pair (a, b) is mapped to the canonical frame and j transformed
-    along. In one space dimension the overlap is the forward cone with
-    apex (0; 1) and containment reduces to the apex slack. In d >= 2 the
-    slack is minimized over the cone-surface intersection: a bracketing
-    grid on t plus golden-section refinement, with the t -> infinity limit
-    -(j_t + |orthogonal offset|) included analytically so the asymptotic
-    extremal case is decided exactly.
+    With u = dx/|dx|, beta = dt/|dx| (dx, dt: b minus a), gamma =
+    1/sqrt(1 - beta^2), L = |dx|/(2 gamma) and v = j - midpoint(a, b), the
+    canonical coordinates of j are
+
+        p = v_x.u,  q = v_x - p u,
+        jt = gamma (v_t - beta p) / L,  j1 = gamma (p - beta v_t) / L,
+        w = |q| / L,
+
+    i.e. j after the boost to simultaneity, the shift of the midpoint to
+    the origin, the rotation of u onto x_1 and the scaling by 1/L. The
+    margin follows from them (see :class:`BinaryVerdict`); the condition
+    holds iff margin >= -tol. In d >= 2 the ridge slack
+    cosh(eta) - jt - hypot(j1, sinh(eta) + w) has its one stationary point
+    at sinh(eta) = w/(|j1| - 1), which exists only when |j1| > 1.
+
+    On failure the witness is the ridge point (0, -r q/|q|; t) with
+    t = sqrt(1 + r^2), mapped back to the input frame: the stationary point
+    r = w/(|j1| - 1) when |j1| > 1, else t = max(1, 2/|margin|), where the
+    slack is at most margin/2. In d = 1 it is the apex (r = 0, t = 1).
     """
     if tol is None:
         tol = default_tol()
@@ -235,50 +197,47 @@ def binary_condition(cfg: JammingConfiguration, tol: float | None = None) -> Bin
             "binary condition requires mutually spacelike a, b, j; got "
             f"ab={val.ab.kind}, aj={val.aj.kind}, bj={val.bj.kind}"
         )
-    if _is_canonical_pair(cfg.a, cfg.b):
-        fm = None
-        jc = cfg.j
-    else:
-        fm, _, _ = canonicalize_pair(cfg.a, cfg.b, tol=tol)
-        jc = fm.apply(cfg.j)
-    j1 = jc.x[0]
-    w = np.asarray(jc.x[1:], dtype=float)
-    wnorm = float(np.linalg.norm(w)) if w.size else 0.0
-    jt = jc.t
+    a, b, j = cfg.a, cfg.b, cfg.j
+    dx = [xb - xa for xa, xb in zip(a.x, b.x)]
+    sep = math.hypot(*dx)
+    u = [c / sep for c in dx]
+    beta = (b.t - a.t) / sep
+    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    half = sep / (2.0 * gamma)
+    mid_x = [(xa + xb) / 2.0 for xa, xb in zip(a.x, b.x)]
+    mid_t = (a.t + b.t) / 2.0
+    v_x = [xj - m for xj, m in zip(j.x, mid_x)]
+    v_t = j.t - mid_t
+    p = sum(c * e for c, e in zip(v_x, u))
+    q = [c - p * e for c, e in zip(v_x, u)]
+    q_norm = math.hypot(*q)
+    jt = gamma * (v_t - beta * p) / half
+    j1_abs = abs(gamma * (p - beta * v_t) / half)
+    w = q_norm / half
 
     if cfg.d == 1:
-        margin = _ridge_slack(1.0, j1, 0.0, jt)
-        witness_t = 1.0
+        margin = 1.0 - jt - j1_abs
     else:
-        ts = _ridge_grid()
-        slacks = _ridge_slack_vec(ts, j1, wnorm, jt)
-        i = int(np.argmin(slacks))
-        lo = ts[max(i - 1, 0)]
-        hi = ts[min(i + 1, len(ts) - 1)]
-        _, refined = _golden_min(lambda t: _ridge_slack(t, j1, wnorm, jt), lo, hi)
-        finite_min = min(float(slacks[i]), refined)
-        asymptote = -(jt + wnorm)
-        margin = min(finite_min, asymptote) + 0.0  # normalize -0.0
-        below = np.nonzero(slacks <= -tol)[0]
-        witness_t = float(ts[below[0]]) if below.size else float(ts[i])
-
+        margin = -jt - math.hypot(max(j1_abs - 1.0, 0.0), w)
+    margin += 0.0  # normalize -0.0
     if margin >= -tol:
         return BinaryVerdict(holds=True, margin=margin)
 
-    # witness: worst intersection-surface point at witness_t, mapped back
-    r = math.sqrt((witness_t - 1.0) * (witness_t + 1.0))
     if cfg.d == 1:
-        spatial = (0.0,)
+        t, r = 1.0, 0.0
+    elif j1_abs > 1.0:
+        r = w / (j1_abs - 1.0)
+        t = math.hypot(1.0, r)
     else:
-        if wnorm > 0.0:
-            direction = -w / wnorm
-        else:
-            direction = np.zeros(cfg.d - 1)
-            direction[0] = 1.0
-        spatial = (0.0, *(r * direction))
-    witness = Event(spatial, witness_t)
-    if fm is not None:
-        witness = fm.apply_inverse(witness)
+        t = max(1.0, 2.0 / -margin)
+        r = math.sqrt((t - 1.0) * (t + 1.0))
+    # undo the scaling (L), the boost (gamma L = |dx|/2) and the shift
+    along = beta * t * sep / 2.0
+    x = [m + along * e for m, e in zip(mid_x, u)]
+    if r > 0.0:
+        away = [-c / q_norm for c in q] if q_norm > 0.0 else _orthogonal_unit(u)
+        x = [c + r * half * e for c, e in zip(x, away)]
+    witness = Event(tuple(x), mid_t + t * sep / 2.0)
     return BinaryVerdict(holds=False, margin=margin, witness=witness)
 
 
@@ -300,62 +259,43 @@ class LatestJammerResult:
         }
 
 
-def latest_jammer_time(
-    d: int,
-    position=None,
-    bracket: tuple[float, float] = (-3.0, 3.0),
-    resolution: float = 1e-9,
-    tol: float | None = None,
-) -> LatestJammerResult:
+def latest_jammer_time(d: int, position=None, tol: float | None = None) -> LatestJammerResult:
     """Latest jammer time consistent with validity and the binary condition.
 
     Measurement events are fixed at the canonical (-1, 0...; 0) and
-    (+1, 0...; 0); the jammer sits at ``position`` (default: the spatial
-    midpoint). The supremum over j_t is located by a coarse scan of the
-    bracket followed by bisection down to ``resolution``. Attainment is
-    evaluated at the supremum rounded to the scan resolution: in d = 1 the
-    extremal time 1 is excluded (the jammer would be null-separated from
-    both measurements), while in d >= 2 the extremal time 0 satisfies the
-    closed-cone containment and is reported as attained.
+    (+1, 0...; 0); the jammer sits at ``position`` x (default: the spatial
+    midpoint). The supremum over j_t is, in closed form:
+
+    * d = 1: ``1 - |x1|``, not attained (there j is null-separated from
+      the nearer measurement);
+    * d >= 2: ``-|x_perp|`` (x_perp: x without its x1 component), where the
+      binary margin is 0; attained iff j at that time is strictly spacelike
+      to a and b under ``tol``.
+
+    For |x1| >= 1 the binary condition caps j_t at the past light cone of
+    the nearer measurement, where validity fails, so the window is empty
+    and ``ValueError`` is raised.
     """
     if tol is None:
         tol = default_tol()
+    if d < 1:
+        raise ValueError(f"spatial dimension must be at least 1, got {d}")
     if position is None:
         position = (0.0,) * d
     position = tuple(float(p) for p in position)
     if len(position) != d:
         raise ValueError(f"position has dimension {len(position)}, expected {d}")
+    x1 = abs(position[0])
+    if not x1 < 1.0:
+        raise ValueError(f"no valid jammer time at {position}: the window is empty for |x_1| >= 1")
+    if d == 1:
+        return LatestJammerResult(time=1.0 - x1, attained=False, d=d, position=position)
+    time = -math.hypot(*position[1:]) + 0.0  # normalize -0.0
     a = Event((-1.0,) + (0.0,) * (d - 1), 0.0)
     b = Event((+1.0,) + (0.0,) * (d - 1), 0.0)
-
-    def ok(jt: float) -> bool:
-        cfg = JammingConfiguration(a=a, b=b, j=Event(position, jt))
-        if not validate_configuration(cfg, tol=tol).valid:
-            return False
-        return binary_condition(cfg, tol=tol).holds
-
-    lo_b, hi_b = bracket
-    grid = np.arange(lo_b, hi_b + 5e-3, 0.01)
-    ok_idx = None
-    for i in range(len(grid) - 1, -1, -1):
-        if ok(float(grid[i])):
-            ok_idx = i
-            break
-    if ok_idx is None:
-        raise ValueError(f"no valid jammer time in bracket {bracket} at {position}")
-    lo = float(grid[ok_idx])
-    if ok_idx == len(grid) - 1:
-        return LatestJammerResult(time=lo, attained=True, d=d, position=position)
-    hi = float(grid[ok_idx + 1])
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    sup = 0.5 * (lo + hi)
-    attained = ok(round(sup, 8))
-    return LatestJammerResult(time=sup, attained=attained, d=d, position=position)
+    cfg = JammingConfiguration(a=a, b=b, j=Event(position, time))
+    attained = validate_configuration(cfg, tol=tol).valid
+    return LatestJammerResult(time=time, attained=attained, d=d, position=position)
 
 
 # --------------------------------------------------------------------------

@@ -203,6 +203,32 @@ def test_jam_latest_position_starting_with_dash(capsys):
     assert report["results"]["position"] == [-0.4, 1.6]
 
 
+@pytest.mark.parametrize("value", ["-0.4,1.6", "0.4,1.6"])
+def test_jam_latest_abbreviated_position(capsys, value):
+    _, full = run_json(capsys, "jam", "--latest", "--d", "2", "--position", value)
+    code, short = run_json(capsys, "jam", "--latest", "--d", "2", "--pos", value)
+    assert code == 0
+    assert short == full
+
+
+def test_ambiguous_abbreviation_is_input_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["jam", "--sweep", "--s", "-1,1,5", "--csv", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "ambiguous option" in err
+    assert not out.exists()
+
+
+def test_jam_config_without_jammer_is_input_error(tmp_path, capsys):
+    path = write_json(tmp_path / "cfg.json", {"a": [-1.0, 0.0], "b": [1.0, 0.0], "d": 1})
+    code, out, err = run_cli(capsys, "jam", "--config", path)
+    assert code == 2
+    assert "'j'" in err
+    assert "Traceback" not in err
+
+
 def test_jam_sweep_position_in_exponent_notation(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, report = run_json(
@@ -268,6 +294,16 @@ def test_boost_orderings_reversal(tmp_path, capsys):
     orders = [tuple(o["order"]) for o in report["results"]["orderings"]]
     assert any(o[0] == 2 for o in orders)
     assert any(o[-1] == 2 for o in orders)
+
+
+@pytest.mark.parametrize("option", ["--speed-step", "--n-directions"])
+def test_boost_orderings_zero_grid_option_is_input_error(tmp_path, capsys, option):
+    events = [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+    path = write_json(tmp_path / "events.json", events)
+    code, out, err = run_cli(capsys, "boost", "--events", path, "--orderings", option, "0")
+    assert code == 2
+    assert option in err
+    assert "Traceback" not in err
 
 
 def test_boost_rejects_superluminal(tmp_path, capsys):

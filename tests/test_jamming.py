@@ -34,6 +34,7 @@ from conftest import (
     random_holding_scenario,
     random_valid_configuration,
 )
+from ridge_oracle import ridge_margin
 
 
 def cfg_1d(jx, jt):
@@ -215,7 +216,56 @@ def test_binary_witness_is_sound(rng):
     assert found > 50
 
 
+def test_binary_closed_form_matches_ridge_search():
+    # 3,000 general-frame triples, 1,000 per d: random pairs with a free
+    # jammer, and holding triples that are scaled, shifted and (half of
+    # them) boosted
+    rng = np.random.default_rng(3781)
+    worst = 0.0
+    for i in range(3000):
+        d = 1 + i % 3
+        if i % 2:
+            cfg = random_valid_configuration(rng, d)
+        else:
+            cfg = random_holding_configuration(rng, d)
+        verdict = binary_condition(cfg)
+        oracle = ridge_margin(cfg)
+        worst = max(worst, abs(verdict.margin - oracle))
+        assert verdict.holds == (oracle >= -1e-9)
+        if not verdict.holds:
+            w = verdict.witness
+            assert cone_slack(w, LightCone(cfg.a)) >= -1e-7
+            assert cone_slack(w, LightCone(cfg.b)) >= -1e-7
+            assert cone_slack(w, LightCone(cfg.j)) < 0.0
+    assert worst <= 1e-9
+
+
 # ------------------------------------------------------- latest jammer time
+
+
+@pytest.mark.parametrize(
+    "d, position, time, attained",
+    [
+        (1, (-0.75,), 0.25, False),
+        (2, (-0.4, 1.6), -1.6, True),
+        (2, (0.9, -0.3), -0.3, True),
+        (2, (1.0 - 1e-12, 0.5), -0.5, False),  # null to b within tol: not attained
+        (3, (0.2, 0.3, -0.4), -0.5, True),
+    ],
+)
+def test_latest_jammer_time_closed_form(d, position, time, attained):
+    res = latest_jammer_time(d, position=position)
+    assert res.time == pytest.approx(time, abs=1e-12)
+    assert res.attained is attained
+    assert res.d == d
+
+
+@pytest.mark.parametrize("position", [(5.0,), (-1.5,), (1.5, 0.3)])
+def test_latest_jammer_time_empty_window_raises(position):
+    # the binary condition needs j_t at or below the nearer measurement's
+    # past cone, validity needs j_t strictly above it
+    with pytest.raises(ValueError, match="empty"):
+        latest_jammer_time(len(position), position=position)
 
 
 def test_latest_jammer_1d_window_not_attained():
