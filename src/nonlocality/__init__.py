@@ -57,7 +57,6 @@ from .spacetime import (
     FrameMap,
     IntervalClass,
     LightCone,
-    VelocityGrid,
     achievable_orderings,
     boost,
     canonicalize_pair,

@@ -63,10 +63,13 @@ def _parse_model(spec: str) -> corr.CorrelationModel:
     if spec == "superquantum":
         return corr.SuperquantumModel()
     if spec.startswith("classical:"):
-        return corr.DeterministicModel(int(spec.split(":", 1)[1]))
+        try:
+            return corr.DeterministicModel(int(spec.split(":", 1)[1]))
+        except ValueError:
+            pass
     raise ValueError(
-        f"unknown model {spec!r}; use singlet, superquantum, classical:ID "
-        "or --model-file"
+        "--model takes singlet, superquantum or classical:ID with ID an integer "
+        f"0..15, got {spec!r}; or use --model-file"
     )
 
 
@@ -238,25 +241,7 @@ def _cmd_boost(args):
     events = [st.Event.from_json(item) for item in _load_json(args.events)]
     params = {"events": args.events, "tol": st.default_tol()}
     if args.orderings:
-        if not args.speed_step > 0.0:
-            raise ValueError(f"--speed-step must be > 0, got {args.speed_step}")
-        if args.n_directions < 1:
-            raise ValueError(f"--n-directions must be >= 1, got {args.n_directions}")
-        d = events[0].d
-        grid = st.VelocityGrid.for_dimension(
-            d,
-            speed_step=args.speed_step,
-            max_speed=args.max_speed,
-            n_directions=args.n_directions,
-        )
-        found = st.achievable_orderings(events, grid=grid)
-        params.update(
-            {
-                "speed_step": args.speed_step,
-                "max_speed": args.max_speed,
-                "n_directions": args.n_directions,
-            }
-        )
+        found = st.achievable_orderings(events)
         orderings = [
             {"order": list(perm), "witness_velocity": list(bst.v)}
             for perm, bst in sorted(found.items())
@@ -346,10 +331,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boost", help="Lorentz-transform events or enumerate orderings")
     p.add_argument("--events", required=True, help="JSON file: list of [x..., t] events")
     p.add_argument("--v", help="boost velocity, comma-separated components")
-    p.add_argument("--orderings", action="store_true", help="enumerate achievable time orders")
-    p.add_argument("--speed-step", type=float, default=0.01)
-    p.add_argument("--max-speed", type=float, default=0.99)
-    p.add_argument("--n-directions", type=int, default=24)
+    p.add_argument(
+        "--orderings",
+        action="store_true",
+        help="list every strict time order some boost realises, with a witness velocity "
+        f"(exact; mutually spacelike events, at most {st.MAX_ORDERING_EVENTS})",
+    )
     common(p)
 
     p = sub.add_parser("sample", help="finite-statistics CHSH estimate from a box")
@@ -446,7 +433,10 @@ def _attach_number_lists(parser: argparse.ArgumentParser, argv: list[str]) -> li
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_number_lists(parser, argv))
+    args, unknown = parser.parse_known_args(_attach_number_lists(parser, argv))
+    if unknown:
+        print(f"error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         results, params, ok = _DISPATCH[args.command](args)

@@ -403,8 +403,12 @@ def maximize_chsh(
     Per-coordinate exhaustive search at ``coarse_step``, then shrinking-step
     coordinate descent until the step drops below ``final_step``. Runs from
     the known-good presets plus a few seeded random starts so custom models
-    are not at the mercy of a single basin.
+    are not at the mercy of a single basin. Raises ``ValueError`` unless
+    both steps are > 0.
     """
+    for name, step in (("coarse_step", coarse_step), ("final_step", final_step)):
+        if not step > 0.0:
+            raise ValueError(f"{name} must be > 0, got {step}")
 
     def objective(angles):
         return abs(chsh_at_angles(model, *angles).value)

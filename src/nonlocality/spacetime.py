@@ -4,11 +4,13 @@ Events are points (x_1 .. x_d, t). Light cones are closed sets, and all
 classifications use a symmetric tolerance band so that points numerically
 on a cone surface are reported as boundary rather than flipping sides.
 The default geometric tolerance is 1e-9 and can be overridden with the
-``NONLOCALITY_TOL`` environment variable.
+``NONLOCALITY_TOL`` environment variable, which must hold a finite
+number > 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -31,8 +33,18 @@ OUTSIDE = "outside"
 
 
 def default_tol() -> float:
-    """Geometric tolerance, overridable via the NONLOCALITY_TOL env var."""
-    return float(os.environ.get(TOL_ENV_VAR, GEOMETRIC_TOL))
+    """Geometric tolerance: ``GEOMETRIC_TOL``, or the value of the
+    NONLOCALITY_TOL env var, which must be a finite number > 0."""
+    text = os.environ.get(TOL_ENV_VAR)
+    if text is None:
+        return GEOMETRIC_TOL
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{TOL_ENV_VAR} must be a finite number > 0, got {text!r}")
+    return tol
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -292,84 +304,127 @@ def canonicalize_pair(
     return fm, fm.apply(a), fm.apply(b)
 
 
-@dataclass(frozen=True)
-class VelocityGrid:
-    """Sampling grid of boost velocities: speeds crossed with directions.
+MAX_ORDERING_EVENTS = 8
 
-    Completeness of any ordering search is only up to this resolution.
+
+def _dot(p, q) -> float:
+    return sum(x * y for x, y in zip(p, q))
+
+
+def _face_point(face, d: int) -> tuple[float, ...] | None:
+    """Minimum-norm v with a.v = b on every row (a, b) of ``face``, if it is
+    a KKT point: v = A^T lam with lam = (A A^T)^-1 b <= 0.
+
+    Gram-Schmidt on the unit rows gives A = R Q with Q orthonormal and R
+    lower triangular; then v = Q^T c with R c = b, and R^T lam = c. None when
+    a row lies within 1e-6 (sine of the angle) of the span of those before
+    it, or when some lam > 1e-12 (rounding allowed for).
     """
-
-    speeds: tuple[float, ...]
-    directions: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def for_dimension(
-        cls,
-        d: int,
-        speed_step: float = 0.01,
-        max_speed: float = 0.99,
-        n_directions: int = 24,
-        seed: int = 7,
-    ) -> "VelocityGrid":
-        if not 0.0 < max_speed < 1.0:
-            raise ValueError(f"max_speed must lie in (0, 1), got {max_speed}")
-        raw = np.arange(0.0, max_speed + speed_step / 2, speed_step)
-        speeds = tuple(float(s) for s in raw[raw <= max_speed])
-        if d == 1:
-            dirs = ((1.0,), (-1.0,))
-        elif d == 2:
-            angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
-            dirs = tuple((math.cos(a), math.sin(a)) for a in angles)
-        else:
-            rng = np.random.default_rng(seed)
-            raw = rng.normal(size=(n_directions, d))
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            dirs = tuple(tuple(row) for row in raw)
-        return cls(speeds=speeds, directions=dirs)
-
-    def velocities(self):
-        yield Boost((0.0,) * len(self.directions[0]))
-        for s in self.speeds:
-            if s == 0.0:
-                continue
-            for u in self.directions:
-                yield Boost(tuple(s * c for c in u))
+    basis: list[tuple[float, ...]] = []
+    r: list[list[float]] = []
+    coef: list[float] = []
+    for a, b in face:
+        row = [_dot(a, q) for q in basis]
+        w = [a[k] - _dot(row, [q[k] for q in basis]) for k in range(d)]
+        norm = math.sqrt(_dot(w, w))
+        if norm <= 1e-6:
+            return None
+        basis.append(tuple(c / norm for c in w))
+        coef.append((b - _dot(row, coef)) / norm)
+        r.append([*row, norm])
+    lam = [0.0] * len(face)
+    for i in reversed(range(len(face))):
+        lam[i] = (coef[i] - sum(r[k][i] * lam[k] for k in range(i + 1, len(face)))) / r[i][i]
+        if lam[i] > 1e-12:
+            return None
+    return tuple(_dot(coef, [q[k] for q in basis]) for k in range(d))
 
 
-def achievable_orderings(
-    events: list[Event],
-    grid: VelocityGrid | None = None,
-    tie_tol: float = 1e-12,
-) -> dict[tuple[int, ...], Boost]:
-    """Enumerate strict time orderings of mutually spacelike events reachable
-    by sampled boosts.
+def _within(v, rows) -> bool:
+    """v lies in every half-space a.v <= b of ``rows``, up to 1e-12 of rounding."""
+    return all(_dot(a, v) <= b + 1e-12 for a, b in rows)
 
-    Returns a map from index permutation (earliest first) to a witness boost.
-    Samples with any two boosted times closer than ``tie_tol`` are skipped,
-    so only strict orderings are reported. Coverage is limited to the grid.
+
+def _min_norm_point(rows, d: int) -> tuple[float, ...] | None:
+    """Minimum-norm point of the half-spaces a.v <= b (unit a) in ``rows``,
+    given that it lies on the last one; None if they do not intersect.
+
+    The minimum is the KKT point of a face A_S v = b_S of at most d
+    independent rows, one of them the last. The faces are tried smallest
+    first; the first KKT point that satisfies every row is the minimum, as
+    the problem is convex.
     """
-    if len(events) < 2:
+    *old, last = rows
+    for size in range(min(d, len(rows))):
+        for subset in itertools.combinations(old, size):
+            v = _face_point((*subset, last), d)
+            if v is not None and _within(v, rows):
+                return v
+    return None
+
+
+def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
+    """Every strict time order of mutually spacelike events that a boost
+    realises, each with a witness boost.
+
+    A boost with velocity v gives t' = gamma (t - v.x) with gamma > 0, so the
+    order pi (earliest first) is reachable iff some |v| < 1 satisfies
+    v.(x_{pi(k+1)} - x_{pi(k)}) < t_{pi(k+1)} - t_{pi(k)} for every k. The
+    test is exact up to tol = ``default_tol()``: each half-space is shrunk by
+    tol*|dx|, and the order is kept iff the minimum-norm point of the shrunk,
+    closed half-spaces has norm < 1 - tol. That point is the witness, so each
+    of its boosted time steps is at least tol*|dx|, less 1e-12*|dx| of
+    rounding.
+
+    Orders are built by depth-first search over prefixes: each added event
+    adds one half-space, and a prefix whose half-spaces miss the ball
+    |v| < 1 - tol is pruned with all its extensions. Returns a map from index
+    permutation to witness boost. Raises ``ValueError`` for fewer than 2 or
+    more than ``MAX_ORDERING_EVENTS`` events, or for a pair that is not
+    spacelike.
+    """
+    n = len(events)
+    if n < 2:
         raise ValueError("need at least two events")
+    if n > MAX_ORDERING_EVENTS:
+        raise ValueError(
+            f"at most {MAX_ORDERING_EVENTS} events, got {n}: "
+            "the number of orders grows as n!"
+        )
     d = _require_same_dimension(*events)
-    for i in range(len(events)):
-        for k in range(i + 1, len(events)):
-            iv = interval(events[i], events[k])
+    tol = default_tol()
+    for i in range(n):
+        for k in range(i + 1, n):
+            iv = interval(events[i], events[k], tol=tol)
             if iv.kind != SPACELIKE:
                 raise ValueError(
                     f"events {i} and {k} are {iv.kind}, not spacelike; "
                     "their order is frame-independent"
                 )
-    if grid is None:
-        grid = VelocityGrid.for_dimension(d)
+    # step[i][k]: the half-space u.v <= dt/|dx| - tol that puts k after i
+    step = [[None] * n for _ in range(n)]
+    for i, ei in enumerate(events):
+        for k, ek in enumerate(events):
+            if i != k:
+                dx = [q - p for p, q in zip(ei.x, ek.x)]
+                length = math.sqrt(_dot(dx, dx))
+                step[i][k] = (tuple(c / length for c in dx), (ek.t - ei.t) / length - tol)
+
     found: dict[tuple[int, ...], Boost] = {}
-    for bst in grid.velocities():
-        times = [boost(e, bst).t for e in events]
-        order = tuple(sorted(range(len(events)), key=lambda i: times[i]))
-        sorted_times = sorted(times)
-        if any(
-            sorted_times[i + 1] - sorted_times[i] < tie_tol
-            for i in range(len(sorted_times) - 1)
-        ):
-            continue
-        found.setdefault(order, bst)
+
+    def extend(order, rows, v):
+        if len(order) == n:
+            found[order] = Boost(v)
+            return
+        for k in range(n):
+            if k in order:
+                continue
+            grown = (*rows, step[order[-1]][k])
+            # the old minimum stays the minimum while it satisfies the new row
+            w = v if _within(v, grown[-1:]) else _min_norm_point(grown, d)
+            if w is not None and math.sqrt(_dot(w, w)) < 1.0 - tol:
+                extend((*order, k), grown, w)
+
+    for i in range(n):
+        extend((i,), (), (0.0,) * d)
     return found

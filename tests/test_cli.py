@@ -65,6 +65,14 @@ def test_chsh_explicit_angles(capsys):
     assert report["results"]["value"] == pytest.approx(-2 * math.sqrt(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", ["classical:x", "classical:99", "quantum"])
+def test_chsh_bad_model_is_input_error(capsys, spec):
+    code, out, err = run_cli(capsys, "chsh", "--model", spec)
+    assert code == 2
+    assert "--model" in err and "classical:ID" in err and repr(spec) in err
+    assert "invalid literal" not in err
+
+
 def test_chsh_angles_starting_with_dash(capsys):
     code, report = run_json(
         capsys, "chsh", "--model", "singlet", "--angles", "-0.1,0.5,0.2,1.0"
@@ -304,6 +312,22 @@ def test_boost_orderings_zero_grid_option_is_input_error(tmp_path, capsys, optio
     assert code == 2
     assert option in err
     assert "Traceback" not in err
+
+
+def test_boost_orderings_too_many_events_is_input_error(tmp_path, capsys):
+    path = write_json(tmp_path / "events.json", [[3.0 * i, 0.0] for i in range(9)])
+    code, out, err = run_cli(capsys, "boost", "--events", path, "--orderings")
+    assert code == 2
+    assert "at most 8 events" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "0", "abc"])
+def test_bad_tolerance_env_is_input_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("NONLOCALITY_TOL", value)
+    code, out, err = run_cli(capsys, "jam", "--latest", "--d", "2")
+    assert code == 2
+    assert "NONLOCALITY_TOL" in err
+    assert not out
 
 
 def test_boost_rejects_superluminal(tmp_path, capsys):

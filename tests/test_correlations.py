@@ -263,6 +263,14 @@ def test_maximize_deterministic_is_two_exactly():
         assert opt.value == 2.0
 
 
+@pytest.mark.parametrize("steps", [{"final_step": 0.0}, {"final_step": -1e-8},
+                                   {"coarse_step": 0.0}, {"final_step": math.nan}])
+def test_maximize_rejects_nonpositive_steps(steps):
+    # final_step=0 used to loop forever: the step halves to 0.0 and 0.0 >= 0.0
+    with pytest.raises(ValueError, match=next(iter(steps))):
+        maximize_chsh(SingletModel(), **steps)
+
+
 # ------------------------------------------------------------------ sampling
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -10,7 +11,6 @@ from nonlocality import (
     Boost,
     Event,
     LightCone,
-    VelocityGrid,
     achievable_orderings,
     boost,
     canonicalize_pair,
@@ -18,9 +18,19 @@ from nonlocality import (
     in_future_cone,
     interval,
 )
-from nonlocality.spacetime import BOUNDARY, INSIDE, NULL, OUTSIDE, SPACELIKE, TIMELIKE
+from nonlocality.spacetime import (
+    BOUNDARY,
+    INSIDE,
+    MAX_ORDERING_EVENTS,
+    NULL,
+    OUTSIDE,
+    SPACELIKE,
+    TIMELIKE,
+    TOL_ENV_VAR,
+)
 
 from conftest import random_boost, random_spacelike_pair
+from grid_oracle import grid_orderings
 
 coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -269,8 +279,79 @@ def test_orderings_never_empty_on_random_triples(rng):
                 and interval(b, c).kind == SPACELIKE
             ):
                 break
-        grid = VelocityGrid.for_dimension(d, speed_step=0.05)
-        assert achievable_orderings([a, b, c], grid=grid)
+        assert achievable_orderings([a, b, c])
+
+
+def _spacelike_set(rng, d, n, margin=1e-6):
+    """n events whose pairwise intervals and time differences all clear
+    ``margin``, so that no order depends on the tolerance."""
+    while True:
+        events = [Event(tuple(rng.uniform(-2.0, 2.0, size=d)), rng.uniform(-1.0, 1.0))
+                  for _ in range(n)]
+        pairs = [(p, q) for i, p in enumerate(events) for q in events[i + 1:]]
+        if all(interval(p, q).squared < -margin and abs(p.t - q.t) > margin for p, q in pairs):
+            return events
+
+
+def _velocity_interval_1d(events, order):
+    """Open interval of d = 1 velocities v that realise ``order``: each step
+    needs v dx < dt, and |v| < 1."""
+    lo, hi = -1.0, 1.0
+    for i, k in zip(order, order[1:]):
+        dx = events[k].x[0] - events[i].x[0]
+        bound = (events[k].t - events[i].t) / dx
+        if dx > 0.0:
+            hi = min(hi, bound)
+        else:
+            lo = max(lo, bound)
+    return lo, hi
+
+
+def _assert_witnesses(events, found):
+    """Each witness is subluminal and realises its order with every boosted
+    time step at least tol*|dx|, less the 1e-12*|dx| rounding allowance."""
+    tol = default_tol()
+    for order, bst in found.items():
+        assert bst.speed < 1.0
+        for i, k in zip(order, order[1:]):
+            dx = math.dist(events[k].x, events[i].x)
+            gap = boost(events[k], bst).t - boost(events[i], bst).t
+            assert gap >= (tol - 1e-12) * dx, (order, bst.v, gap)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orderings_1d_match_velocity_intervals(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(40):
+        while True:
+            events = _spacelike_set(rng, 1, n)
+            spans = {order: _velocity_interval_1d(events, order)
+                     for order in itertools.permutations(range(n))}
+            # an interval within 1e-6 of empty is decided by the tolerance
+            if all(abs(hi - lo) > 1e-6 for lo, hi in spans.values()):
+                break
+        found = achievable_orderings(events)
+        assert set(found) == {order for order, (lo, hi) in spans.items() if lo < hi}
+        _assert_witnesses(events, found)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_orderings_contain_grid_orderings(d):
+    rng = np.random.default_rng(200 + d)
+    for trial in range(100):
+        events = _spacelike_set(rng, d, 3 + trial % 2)
+        found = achievable_orderings(events)
+        grid = grid_orderings(events)
+        assert grid and set(grid) <= set(found)
+        assert tuple(sorted(range(len(events)), key=lambda i: events[i].t)) in found
+        _assert_witnesses(events, found)
+
+
+def test_orderings_reject_too_many_events():
+    events = [Event((3.0 * i,), 0.0) for i in range(MAX_ORDERING_EVENTS + 1)]
+    with pytest.raises(ValueError, match=f"at most {MAX_ORDERING_EVENTS} events"):
+        achievable_orderings(events)
+    assert len(achievable_orderings(events[:4])) == 2  # collinear: by position, either way
 
 
 # ------------------------------------------------------------- serialization
@@ -292,3 +373,12 @@ def test_default_tol_env_override(monkeypatch):
     assert default_tol() == 1e-6
     monkeypatch.delenv("NONLOCALITY_TOL")
     assert default_tol() == 1e-9
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "0", "abc"])
+def test_default_tol_rejects_bad_env_value(monkeypatch, value):
+    monkeypatch.setenv(TOL_ENV_VAR, value)
+    with pytest.raises(ValueError, match=TOL_ENV_VAR):
+        default_tol()
+    with pytest.raises(ValueError, match=TOL_ENV_VAR):
+        interval(Event((0.0,), 0.0), Event((1.0,), 0.0))
