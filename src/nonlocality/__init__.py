@@ -31,7 +31,6 @@ from .correlations import (
     chsh_at_angles,
     classify_chsh,
     enumerate_deterministic,
-    eval_correlation,
     maximize_chsh,
     product_box,
     reduce_angle,

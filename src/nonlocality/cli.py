@@ -45,6 +45,17 @@ def _parse_sweep_range(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _parse_tol(text: str) -> float:
+    """``--tol``: a finite number > 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return tol
+
+
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
     if text in corr.ANGLE_PRESETS:
         return corr.ANGLE_PRESETS[text]
@@ -145,7 +156,8 @@ def _cmd_chsh(args):
         if not args.csv:
             raise ValueError("--curve requires --csv PATH")
         thetas = np.linspace(0.0, math.pi, args.curve)
-        rows = [[f"{t:.12g}", f"{corr.eval_correlation(model, t):.12g}"] for t in thetas]
+        values = model.correlation_array(thetas)
+        rows = [[f"{t:.12g}", f"{v:.12g}"] for t, v in zip(thetas.tolist(), values.tolist())]
         n = _write_csv(args.csv, ["theta", "correlation"], rows)
         params["curve_points"] = args.curve
         return {"csv": args.csv, "rows": n}, params, True
@@ -305,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nosig", help="no-signalling check of a box")
     p.add_argument("--box", help="box JSON file")
     p.add_argument("--builtin", help=f"one of {sorted(corr.BUILTIN_BOXES)}")
-    p.add_argument("--tol", type=float, default=corr.PROB_TOL)
+    p.add_argument("--tol", type=_parse_tol, default=corr.PROB_TOL,
+                   help="probability tolerance, a finite number > 0")
     common(p)
 
     p = sub.add_parser("jam", help="jamming configurations, windows, scenarios, boxes")
@@ -325,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", help="box JSON file to jam")
     p.add_argument("--builtin", help=f"one of {sorted(corr.BUILTIN_BOXES)}")
     p.add_argument("--strength", type=float, default=1.0, help="jamming strength in [0, 1]")
-    p.add_argument("--tol", type=float, default=None, help="geometric tolerance")
+    p.add_argument("--tol", type=_parse_tol, default=None, help="geometric tolerance, a finite number > 0")
     common(p)
 
     p = sub.add_parser("boost", help="Lorentz-transform events or enumerate orderings")

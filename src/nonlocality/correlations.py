@@ -53,6 +53,8 @@ class NoSignallingBox:
         arr = np.array(probs, dtype=float)
         if arr.shape != (2, 2, 2, 2):
             raise ValueError(f"box table must have shape (2,2,2,2), got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("box probabilities must be finite")
         if np.any(arr < -PROB_TOL):
             raise ValueError("box has negative probabilities")
         sums = arr.sum(axis=(2, 3))
@@ -104,6 +106,8 @@ def box_from_correlation(e) -> NoSignallingBox:
         arr = np.full((2, 2), float(arr))
     if arr.shape != (2, 2):
         raise ValueError(f"need a scalar or 2x2 correlations, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"correlations must be finite, got {arr.tolist()}")
     if np.any(np.abs(arr) > 1.0 + PROB_TOL):
         raise ValueError(f"correlations must lie in [-1, 1], got {arr.tolist()}")
     probs = np.empty((2, 2, 2, 2))
@@ -193,15 +197,33 @@ def classify_chsh(value: float, tol: float = 1e-6) -> str:
 
 
 class CorrelationModel:
-    """A correlation function of the relative measurement angle."""
+    """A correlation function of the relative measurement angle.
+
+    ``correlation`` evaluates one angle in plain ``math``; ``correlation_array``
+    evaluates an array of angles and equals it element by element. A subclass
+    defines ``_corr`` on [0, pi] and may define ``_corr_array`` on an array of
+    folded angles; the default calls ``_corr`` point by point.
+    """
 
     kind = "abstract"
 
     def correlation(self, theta: float) -> float:
         return self._corr(reduce_angle(theta))
 
+    def correlation_array(self, thetas) -> np.ndarray:
+        """E at each angle of ``thetas``, folded into [0, pi] as by ``reduce_angle``."""
+        t = np.asarray(thetas, dtype=float)
+        finite = np.isfinite(t)
+        if not finite.all():
+            raise ValueError(f"angle must be finite, got {t[~finite][0]}")
+        t = np.fmod(np.abs(t), 2.0 * math.pi)
+        return self._corr_array(np.where(t > math.pi, 2.0 * math.pi - t, t))
+
     def _corr(self, theta: float) -> float:
         raise NotImplementedError
+
+    def _corr_array(self, t: np.ndarray) -> np.ndarray:
+        return np.array([self._corr(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
     def to_json(self) -> dict:
         return {"kind": self.kind}
@@ -214,6 +236,13 @@ class SingletModel(CorrelationModel):
 
     def _corr(self, theta: float) -> float:
         return -math.cos(theta)
+
+    def _corr_array(self, t: np.ndarray) -> np.ndarray:
+        return -np.cos(t)
+
+
+_BAND_LO = math.pi / 4.0  # superquantum E is +1 up to here
+_BAND_HI = 3.0 * math.pi / 4.0  # and -1 from here
 
 
 def _default_interpolant(theta: float) -> float:
@@ -228,7 +257,9 @@ class SuperquantumModel(CorrelationModel):
 
     E(theta) = 1 up to pi/4, -1 from 3*pi/4, and a smooth strictly monotone
     interpolant in between. The interpolant is pluggable; the default keeps
-    the antisymmetry E(pi - theta) = -E(theta) exactly.
+    the antisymmetry E(pi - theta) = -E(theta) exactly. A custom interpolant
+    is called with one float at a time, on (pi/4, 3*pi/4) only, also by
+    ``correlation_array``; the default is evaluated as an array.
     """
 
     kind = "superquantum"
@@ -237,11 +268,16 @@ class SuperquantumModel(CorrelationModel):
         self.interpolant = interpolant or _default_interpolant
 
     def _corr(self, theta: float) -> float:
-        if theta <= math.pi / 4.0:
+        if theta <= _BAND_LO:
             return 1.0
-        if theta >= 3.0 * math.pi / 4.0:
+        if theta >= _BAND_HI:
             return -1.0
         return self.interpolant(theta)
+
+    def _corr_array(self, t: np.ndarray) -> np.ndarray:
+        if self.interpolant is not _default_interpolant:
+            return super()._corr_array(t)
+        return np.where(t <= _BAND_LO, 1.0, np.where(t >= _BAND_HI, -1.0, np.sin(2.0 * t)))
 
 
 class DeterministicModel(CorrelationModel):
@@ -267,6 +303,9 @@ class DeterministicModel(CorrelationModel):
     def _corr(self, theta: float) -> float:
         return float(self.alice[0] * self.bob[0])
 
+    def _corr_array(self, t: np.ndarray) -> np.ndarray:
+        return np.full(t.shape, float(self.alice[0] * self.bob[0]))
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "strategy": self.strategy_id}
 
@@ -281,6 +320,8 @@ class TableModel(CorrelationModel):
         va = np.asarray(values, dtype=float)
         if th.ndim != 1 or th.shape != va.shape or th.size < 2:
             raise ValueError("need matching 1-d theta/value arrays with >= 2 points")
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(va))):
+            raise ValueError("thetas and values must be finite")
         if np.any(np.diff(th) <= 0) or th[0] < 0 or th[-1] > math.pi:
             raise ValueError("thetas must be strictly increasing within [0, pi]")
         if np.any(np.abs(va) > 1.0 + PROB_TOL):
@@ -291,13 +332,11 @@ class TableModel(CorrelationModel):
     def _corr(self, theta: float) -> float:
         return float(np.interp(theta, self.thetas, self.values))
 
+    def _corr_array(self, t: np.ndarray) -> np.ndarray:
+        return np.interp(t, self.thetas, self.values)
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "thetas": self.thetas.tolist(), "values": self.values.tolist()}
-
-
-def eval_correlation(model: CorrelationModel, theta: float) -> float:
-    """Evaluate E(theta); angles outside [0, pi] are folded by symmetry."""
-    return model.correlation(theta)
 
 
 def model_from_json(data) -> CorrelationModel:
@@ -389,6 +428,12 @@ class ChshOptimum:
     angles: tuple[float, float, float, float]
     value: float  # max |CHSH| found
     result: ChshResult  # signed breakdown at those angles
+    evaluations: int  # E(theta) points the search evaluated, array points included
+
+
+# Axis pairs (a, b), (a, b'), (a', b), (a', b') of the four CHSH terms, as
+# indices into the angle list [a, a', b, b'].
+_TERM_AXES = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 def maximize_chsh(
@@ -405,13 +450,36 @@ def maximize_chsh(
     the known-good presets plus a few seeded random starts so custom models
     are not at the mercy of a single basin. Raises ``ValueError`` unless
     both steps are > 0.
+
+    Each coarse sweep evaluates the whole grid in one ``correlation_array``
+    call per varying term and keeps the first grid point of largest value if
+    it beats the current one, as a point-by-point scan with ``>`` would.
     """
     for name, step in (("coarse_step", coarse_step), ("final_step", final_step)):
         if not step > 0.0:
             raise ValueError(f"{name} must be > 0, got {step}")
 
-    def objective(angles):
-        return abs(chsh_at_angles(model, *angles).value)
+    e = model.correlation
+    evaluations = 0
+
+    def objective(a, a_prime, b, b_prime):
+        nonlocal evaluations
+        evaluations += 4
+        return abs(e(a - b) + e(a - b_prime) + e(a_prime - b) - e(a_prime - b_prime))
+
+    def sweep(angles, i):
+        # |CHSH| with angle i set to each point of ``line``, the others fixed
+        nonlocal evaluations
+        terms = []
+        for p, q in _TERM_AXES:
+            if i == p:
+                terms.append(model.correlation_array(line - angles[q]))
+            elif i == q:
+                terms.append(model.correlation_array(angles[p] - line))
+            else:
+                terms.append(e(angles[p] - angles[q]))
+        evaluations += 2 * line.size + 2
+        return np.abs(terms[0] + terms[1] + terms[2] - terms[3])
 
     two_pi = 2.0 * math.pi
     starts = [ANGLE_PRESETS["eq2"], ANGLE_PRESETS["singlet-optimal"], (0.0,) * 4]
@@ -419,24 +487,21 @@ def maximize_chsh(
     starts += [tuple(rng.uniform(0.0, two_pi, size=4)) for _ in range(extra_starts)]
 
     best_angles = starts[0]
-    best_val = objective(best_angles)
+    best_val = objective(*best_angles)
     line = np.arange(0.0, two_pi, coarse_step)
     for start in starts:
         angles = list(start)
-        val = objective(angles)
+        val = objective(*angles)
         # coarse per-coordinate sweeps
         for _ in range(4):
             changed = False
             for i in range(4):
-                orig = angles[i]
-                for cand in line:
-                    angles[i] = cand
-                    v = objective(angles)
-                    if v > val:
-                        val = v
-                        orig = cand
-                        changed = True
-                angles[i] = orig
+                values = sweep(angles, i)
+                k = int(np.argmax(values))
+                if values[k] > val:
+                    val = float(values[k])
+                    angles[i] = float(line[k])
+                    changed = True
             if not changed:
                 break
         # shrinking-step refinement
@@ -447,7 +512,7 @@ def maximize_chsh(
                 for delta in (step, -step):
                     trial = angles[i] + delta
                     angles[i] = trial
-                    v = objective(angles)
+                    v = objective(*angles)
                     if v > val:
                         val = v
                         improved = True
@@ -462,6 +527,7 @@ def maximize_chsh(
         angles=tuple(best_angles),
         value=best_val,
         result=chsh_at_angles(model, *best_angles),
+        evaluations=evaluations + 4,
     )
 
 

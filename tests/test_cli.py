@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nonlocality import box_from_correlation, builtin_box, product_box
+from nonlocality import correlations as corr
 from nonlocality.cli import main
 
 
@@ -101,6 +102,23 @@ def test_chsh_curve_csv(tmp_path, capsys):
     assert float(last[1]) == -1.0
 
 
+@pytest.mark.parametrize("model", ["singlet", "superquantum", "classical:6", "table"])
+def test_chsh_curve_rows_are_pointwise_correlations(tmp_path, capsys, model):
+    if model == "table":
+        spec = {"kind": "table", "thetas": [0.0, 0.5, 1.2, math.pi],
+                "values": [-1.0, -0.7, 0.1, 1.0]}
+        args = ["--model-file", write_json(tmp_path / "m.json", spec)]
+    else:
+        args = ["--model", model]
+    out = tmp_path / "curve.csv"
+    code, report = run_json(capsys, "chsh", *args, "--curve", "181", "--csv", str(out))
+    assert code == 0
+    lines = out.read_text().splitlines()
+    instance = corr.model_from_json(report["params"]["model"])
+    want = [f"{t:.12g},{instance.correlation(t):.12g}" for t in np.linspace(0.0, math.pi, 181)]
+    assert lines == ["theta,correlation"] + want
+
+
 # -------------------------------------------------------------------- nosig
 
 
@@ -128,6 +146,17 @@ def test_nosig_product_fixture_passes(tmp_path, capsys):
     code, report = run_json(capsys, "nosig", "--box", path)
     assert code == 0
     assert report["results"]["passed"] is True
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9", "abc"])
+def test_nosig_bad_tol_is_input_error(capsys, value):
+    # --tol nan used to write "tol": NaN, which is not JSON
+    with pytest.raises(SystemExit) as exc:
+        main(["nosig", "--builtin", "uniform", f"--tol={value}", "--format", "json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--tol" in captured.err
+    assert not captured.out
 
 
 # ---------------------------------------------------------------------- jam
@@ -328,6 +357,17 @@ def test_bad_tolerance_env_is_input_error(monkeypatch, capsys, value):
     assert code == 2
     assert "NONLOCALITY_TOL" in err
     assert not out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9", "abc"])
+def test_jam_bad_tol_is_input_error(capsys, value):
+    # --tol nan used to classify every interval as null
+    with pytest.raises(SystemExit) as exc:
+        main(["jam", "--latest", "--d", "2", "--position", "0.3,0.4", f"--tol={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--tol" in captured.err
+    assert not captured.out
 
 
 def test_boost_rejects_superluminal(tmp_path, capsys):

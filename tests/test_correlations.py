@@ -10,6 +10,7 @@ from nonlocality import (
     ANGLE_PRESETS,
     BUILTIN_BOXES,
     QUANTUM_BOUND,
+    CorrelationModel,
     DeterministicModel,
     NoSignallingBox,
     SingletModel,
@@ -23,7 +24,6 @@ from nonlocality import (
     chsh_at_angles,
     classify_chsh,
     enumerate_deterministic,
-    eval_correlation,
     maximize_chsh,
     product_box,
     reduce_angle,
@@ -39,24 +39,24 @@ PI = math.pi
 
 def test_superquantum_plateau_values():
     sq = SuperquantumModel()
-    assert eval_correlation(sq, PI / 8) == 1.0
-    assert eval_correlation(sq, PI / 2) == pytest.approx(0.0, abs=1e-12)
-    assert eval_correlation(sq, 7 * PI / 8) == -1.0
+    assert sq.correlation(PI / 8) == 1.0
+    assert sq.correlation(PI / 2) == pytest.approx(0.0, abs=1e-12)
+    assert sq.correlation(7 * PI / 8) == -1.0
 
 
 def test_singlet_values():
     s = SingletModel()
-    assert eval_correlation(s, PI / 2) == pytest.approx(0.0, abs=1e-12)
-    assert eval_correlation(s, 0.0) == -1.0
-    assert eval_correlation(s, PI) == 1.0
+    assert s.correlation(PI / 2) == pytest.approx(0.0, abs=1e-12)
+    assert s.correlation(0.0) == -1.0
+    assert s.correlation(PI) == 1.0
 
 
 def test_angle_reduction_symmetries():
     sq = SuperquantumModel()
     for theta in (0.3, 1.1, 2.8):
-        assert eval_correlation(sq, -theta) == eval_correlation(sq, theta)
-        assert eval_correlation(sq, 2 * PI - theta) == pytest.approx(
-            eval_correlation(sq, theta), abs=1e-12
+        assert sq.correlation(-theta) == sq.correlation(theta)
+        assert sq.correlation(2 * PI - theta) == pytest.approx(
+            sq.correlation(theta), abs=1e-12
         )
     assert reduce_angle(-PI / 3) == pytest.approx(PI / 3)
     assert reduce_angle(2 * PI - 0.25) == pytest.approx(0.25)
@@ -64,7 +64,7 @@ def test_angle_reduction_symmetries():
 
 def test_eval_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
-        eval_correlation(SingletModel(), float("nan"))
+        SingletModel().correlation(float("nan"))
 
 
 def test_antisymmetry_on_grid():
@@ -72,38 +72,78 @@ def test_antisymmetry_on_grid():
     for model in (SingletModel(), SuperquantumModel()):
         for theta in thetas:
             assert abs(
-                eval_correlation(model, PI - theta) + eval_correlation(model, theta)
+                model.correlation(PI - theta) + model.correlation(theta)
             ) <= 1e-12
 
 
 def test_superquantum_monotone_nonincreasing():
     sq = SuperquantumModel()
-    values = [eval_correlation(sq, t) for t in np.linspace(0.0, PI, 2000)]
+    values = [sq.correlation(t) for t in np.linspace(0.0, PI, 2000)]
     assert all(b - a <= 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_superquantum_custom_interpolant():
     # linear bridge also satisfies the endpoint constraints
     lin = SuperquantumModel(interpolant=lambda t: (PI / 2 - t) / (PI / 4))
-    assert eval_correlation(lin, PI / 4) == 1.0
-    assert eval_correlation(lin, PI / 2) == pytest.approx(0.0, abs=1e-12)
-    assert eval_correlation(lin, 3 * PI / 4) == -1.0
+    assert lin.correlation(PI / 4) == 1.0
+    assert lin.correlation(PI / 2) == pytest.approx(0.0, abs=1e-12)
+    assert lin.correlation(3 * PI / 4) == -1.0
     assert chsh_at_angles(lin, *ANGLE_PRESETS["eq2"]).value == pytest.approx(4.0, abs=1e-12)
 
 
 def test_deterministic_model_constant():
     m = DeterministicModel(0)
     assert m.alice == (1, 1) and m.bob == (1, 1)
-    assert eval_correlation(m, 0.1) == eval_correlation(m, 2.9) == 1.0
+    assert m.correlation(0.1) == m.correlation(2.9) == 1.0
     with pytest.raises(ValueError):
         DeterministicModel(16)
 
 
 def test_table_model_interpolates():
     m = TableModel([0.0, PI], [-1.0, 1.0])
-    assert eval_correlation(m, PI / 2) == pytest.approx(0.0, abs=1e-12)
+    assert m.correlation(PI / 2) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         TableModel([0.0, PI], [-2.0, 1.0])
+
+
+class _PointwiseModel(CorrelationModel):
+    """A model that defines only the scalar ``_corr``: the array path falls
+    back to calling it point by point."""
+
+    def _corr(self, theta):
+        return -math.cos(theta)
+
+
+def _all_models():
+    return [
+        SingletModel(),
+        SuperquantumModel(),
+        SuperquantumModel(interpolant=lambda t: (PI / 2 - t) / (PI / 4)),
+        SuperquantumModel(interpolant=lambda t: math.sin(2 * t)),
+        TableModel([0.0, PI / 4, 3 * PI / 4, PI], [1.0, 1.0, -1.0, -1.0]),
+        TableModel([0.3, 1.2, 2.0], [-0.5, 0.1, 0.8]),
+        _PointwiseModel(),
+    ] + [DeterministicModel(sid) for sid in range(16)]
+
+
+def test_correlation_array_equals_scalar_exactly():
+    special = [0.0, PI / 4, 3 * PI / 4, PI, 2 * PI, 4 * PI, -PI / 4, -3 * PI / 4, -PI,
+               -2 * PI, 13.0, -13.0, 4 * PI + 0.5, -(4 * PI + 0.5), 1e3, -1e3]
+    thetas = np.concatenate([np.linspace(-5 * PI, 5 * PI, 4001), special])
+    for model in _all_models():
+        got = model.correlation_array(thetas)
+        want = np.array([model.correlation(t) for t in thetas])
+        assert got.shape == thetas.shape
+        assert np.array_equal(got, want), type(model).__name__
+        grid = thetas[:4000].reshape(40, 100)
+        assert np.array_equal(model.correlation_array(grid), want[:4000].reshape(40, 100))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_correlation_array_rejects_nonfinite(bad):
+    for model in _all_models():
+        with pytest.raises(ValueError, match="finite"):
+            model.correlation_array([0.1, bad, 0.2])
 
 
 def test_model_json_roundtrip():
@@ -111,8 +151,8 @@ def test_model_json_roundtrip():
                   TableModel([0.0, 1.0, PI], [0.5, 0.0, -0.5])):
         clone = model_from_json(json.loads(json.dumps(model.to_json())))
         for theta in (0.0, 0.7, 2.0, PI):
-            assert eval_correlation(clone, theta) == pytest.approx(
-                eval_correlation(model, theta), abs=1e-12
+            assert clone.correlation(theta) == pytest.approx(
+                model.correlation(theta), abs=1e-12
             )
 
 
@@ -133,6 +173,28 @@ def test_box_from_correlation_extremes():
 def test_box_from_correlation_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         box_from_correlation(1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_box_constructors_reject_nonfinite(bad):
+    # box_from_correlation(nan) used to build a box that check_no_signalling
+    # passed with max_deviation 0.0
+    with pytest.raises(ValueError, match="finite"):
+        box_from_correlation(bad)
+    with pytest.raises(ValueError, match="finite"):
+        box_from_correlation([[0.5, 0.5], [bad, 0.5]])
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[1, 0, 1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        NoSignallingBox(probs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_model_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        TableModel([0.0, bad, PI], [1.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match="finite"):
+        TableModel([0.0, 1.0, PI], [1.0, bad, -1.0])
 
 
 def test_box_validation():
@@ -263,8 +325,83 @@ def test_maximize_deterministic_is_two_exactly():
         assert opt.value == 2.0
 
 
+# maximize_chsh(model, seed=seed) as the point-by-point coarse scan found it,
+# recorded before the sweeps were vectorised: (angles, value).
+_EQ2_FOUND = (1.5707963267948966, 0.0, 0.7853981633974483, 2.356194490192345)
+_GOLDEN_OPTIMA = {
+    ("singlet", 0): (_EQ2_FOUND, 2.8284271247461903),
+    ("singlet", 3): (_EQ2_FOUND, 2.8284271247461903),
+    ("superquantum", 0): (_EQ2_FOUND, 4.0),
+    ("superquantum", 3): (_EQ2_FOUND, 4.0),
+    ("table", 0): (_EQ2_FOUND, 4.0),
+    ("table", 3): (_EQ2_FOUND, 4.0),
+    ("table-smooth", 0): (
+        (0.7853981633974483, 5.061454830783556, 2.7936176339734238, 5.061454830783556),
+        2.899224642446357,
+    ),
+    ("table-smooth", 3): (
+        (0.8377580409572782, 3.1066860685499065, 5.113814708343385, 3.1066860685499065),
+        2.899224642446357,
+    ),
+    ("classical-0", 0): (_EQ2_FOUND, 2.0),
+    ("classical-0", 3): (_EQ2_FOUND, 2.0),
+    ("classical-5", 0): (_EQ2_FOUND, 2.0),
+    ("classical-5", 3): (_EQ2_FOUND, 2.0),
+    ("classical-11", 0): (_EQ2_FOUND, 2.0),
+    ("classical-11", 3): (_EQ2_FOUND, 2.0),
+}
+
+
+def _golden_model(name):
+    if name == "singlet":
+        return SingletModel()
+    if name == "superquantum":
+        return SuperquantumModel()
+    if name == "table":
+        return TableModel([0.0, PI / 4, 3 * PI / 4, PI], [1.0, 1.0, -1.0, -1.0])
+    if name == "table-smooth":
+        return TableModel([0.0, 0.5, 1.2, 2.0, PI], [-1.0, -0.7, 0.1, 0.6, 1.0])
+    return DeterministicModel(int(name.split("-")[1]))
+
+
+@pytest.mark.parametrize("name,seed", sorted(_GOLDEN_OPTIMA))
+def test_maximize_matches_golden_optima_bit_for_bit(name, seed):
+    angles, value = _GOLDEN_OPTIMA[name, seed]
+    opt = maximize_chsh(_golden_model(name), seed=seed)
+    assert opt.angles == angles
+    assert opt.value == value
+    assert abs(opt.result.value) == value
+
+
+def test_maximize_float_only_interpolant():
+    # a custom interpolant is called with one float at a time, so one that
+    # accepts no array still works, and this one gives the default's optimum
+    opt = maximize_chsh(SuperquantumModel(interpolant=lambda t: math.sin(2 * t)), seed=3)
+    assert (opt.angles, opt.value) == _GOLDEN_OPTIMA["superquantum", 3]
+    assert maximize_chsh(_PointwiseModel()).value == maximize_chsh(SingletModel()).value
+
+
+def test_maximize_counts_evaluations():
+    # A constant model never improves: per start one objective (4 points),
+    # one round of four sweeps (2 varying terms over the grid plus 2 fixed
+    # points each), then 8 trials of 4 points at every step size; plus the
+    # initial objective and the final breakdown.
+    coarse, final, extra = math.pi / 180.0, 1e-8, 4
+    grid = np.arange(0.0, 2.0 * math.pi, coarse).size
+    steps = 0
+    step = coarse
+    while step >= final:
+        steps += 1
+        step /= 2.0
+    per_start = 4 + 4 * (2 * grid + 2) + steps * 8 * 4
+    opt = maximize_chsh(DeterministicModel(5), coarse, final, extra)
+    assert opt.evaluations == 4 + (3 + extra) * per_start + 4
+    assert maximize_chsh(SingletModel()).evaluations > opt.evaluations
+
+
 @pytest.mark.parametrize("steps", [{"final_step": 0.0}, {"final_step": -1e-8},
-                                   {"coarse_step": 0.0}, {"final_step": math.nan}])
+                                   {"coarse_step": 0.0}, {"final_step": math.nan},
+                                   {"coarse_step": -0.1}, {"coarse_step": math.nan}])
 def test_maximize_rejects_nonpositive_steps(steps):
     # final_step=0 used to loop forever: the step halves to 0.0 and 0.0 >= 0.0
     with pytest.raises(ValueError, match=next(iter(steps))):
