@@ -250,7 +250,12 @@ def _cmd_jam(args):
 
 
 def _cmd_boost(args):
-    events = [st.Event.from_json(item) for item in _load_json(args.events)]
+    data = _load_json(args.events)
+    if not isinstance(data, list):
+        raise ValueError(
+            f"events JSON must be a list of [x..., t] events, got {type(data).__name__}"
+        )
+    events = [st.Event.from_json(item, key=f"event {i}") for i, item in enumerate(data)]
     params = {"events": args.events, "tol": st.default_tol()}
     if args.orderings:
         found = st.achievable_orderings(events)

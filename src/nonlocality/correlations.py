@@ -15,6 +15,7 @@ model reaches 4 while keeping uniform single-party marginals.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -84,8 +85,8 @@ class NoSignallingBox:
 
     @classmethod
     def from_json(cls, data) -> "NoSignallingBox":
-        if "P" not in data:
-            raise ValueError("box JSON must contain key 'P'")
+        if not isinstance(data, dict) or "P" not in data:
+            raise ValueError("box JSON must be an object with key 'P'")
         return cls(data["P"])
 
     def __repr__(self):
@@ -311,7 +312,12 @@ class DeterministicModel(CorrelationModel):
 
 
 class TableModel(CorrelationModel):
-    """Custom correlation model, linearly interpolated from (theta, E) pairs."""
+    """Custom correlation model, linearly interpolated from (theta, E) pairs.
+
+    Outside the table E is held at the first or last value. The scalar path
+    repeats ``np.interp``'s arithmetic in plain floats, so both paths agree
+    bit for bit.
+    """
 
     kind = "table"
 
@@ -328,9 +334,20 @@ class TableModel(CorrelationModel):
             raise ValueError("correlation values must lie in [-1, 1]")
         self.thetas = th
         self.values = va
+        self._xs = th.tolist()
+        self._ys = va.tolist()
 
     def _corr(self, theta: float) -> float:
-        return float(np.interp(theta, self.thetas, self.values))
+        xs, ys = self._xs, self._ys
+        j = bisect_right(xs, theta) - 1
+        if j < 0:
+            return ys[0]
+        if j == len(xs) - 1:
+            return ys[-1]
+        if theta == xs[j]:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        return slope * (theta - xs[j]) + ys[j]
 
     def _corr_array(self, t: np.ndarray) -> np.ndarray:
         return np.interp(t, self.thetas, self.values)
@@ -339,17 +356,38 @@ class TableModel(CorrelationModel):
         return {"kind": self.kind, "thetas": self.thetas.tolist(), "values": self.values.tolist()}
 
 
+# Keys each model kind's JSON object needs besides "kind".
+_MODEL_KEYS = {"singlet": (), "superquantum": (), "classical": ("strategy",),
+               "table": ("thetas", "values")}
+
+
 def model_from_json(data) -> CorrelationModel:
+    """Model from its ``to_json`` object; ``ValueError`` names a missing or bad key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"model JSON must be an object with key 'kind', got {type(data).__name__}")
     kind = data.get("kind")
+    if kind not in _MODEL_KEYS:
+        raise ValueError(
+            f"model JSON key 'kind' must be one of {sorted(_MODEL_KEYS)}, got {kind!r}"
+        )
+    missing = [key for key in _MODEL_KEYS[kind] if key not in data]
+    if missing:
+        raise ValueError(f"{kind} model JSON lacks key(s) {', '.join(map(repr, missing))}")
     if kind == "singlet":
         return SingletModel()
     if kind == "superquantum":
         return SuperquantumModel()
     if kind == "classical":
-        return DeterministicModel(data["strategy"])
-    if kind == "table":
+        try:
+            return DeterministicModel(int(data["strategy"]))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"classical model key 'strategy' must be an integer 0..15, got {data['strategy']!r}"
+            ) from None
+    try:
         return TableModel(data["thetas"], data["values"])
-    raise ValueError(f"unknown model kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"table model keys 'thetas' and 'values': {exc}") from None
 
 
 # Measurement axes a, a', b, b' for chsh_at_angles. The "eq2" preset is the
@@ -423,7 +461,9 @@ def enumerate_deterministic() -> list[DeterministicStrategy]:
 @dataclass(frozen=True)
 class ChshOptimum:
     """Best CHSH magnitude found by search: a heuristic lower bound on the
-    true maximum (exact for the built-in models at their known optima)."""
+    true maximum (exact for the built-in models at their known optima). A
+    value of 4 is the algebraic bound and so the true maximum of any model
+    with |E| <= 1; the search stops there."""
 
     angles: tuple[float, float, float, float]
     value: float  # max |CHSH| found
@@ -450,6 +490,11 @@ def maximize_chsh(
     the known-good presets plus a few seeded random starts so custom models
     are not at the mercy of a single basin. Raises ``ValueError`` unless
     both steps are > 0.
+
+    Once a start ends at |CHSH| >= 4, the algebraic bound, the remaining
+    starts are skipped: with |E| <= 1 no start can beat it, so the result is
+    the same as with all starts run. A start's own refinement always runs to
+    the end, because its rejected trials may move an angle by an ulp.
 
     Each coarse sweep evaluates the whole grid in one ``correlation_array``
     call per varying term and keeps the first grid point of largest value if
@@ -523,6 +568,8 @@ def maximize_chsh(
         if val > best_val:
             best_val = val
             best_angles = tuple(angles)
+        if best_val >= ALGEBRAIC_BOUND:
+            break
     return ChshOptimum(
         angles=tuple(best_angles),
         value=best_val,

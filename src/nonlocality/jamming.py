@@ -83,15 +83,17 @@ class JammingConfiguration:
         missing = [key for key in "abj" if key not in data]
         if missing:
             raise ValueError(f"configuration JSON lacks key(s) {', '.join(map(repr, missing))}")
-        cfg = cls(
-            a=Event.from_json(data["a"]),
-            b=Event.from_json(data["b"]),
-            j=Event.from_json(data["j"]),
-        )
-        if "d" in data and int(data["d"]) != cfg.d:
-            raise ValueError(
-                f"declared dimension {data['d']} does not match coordinates ({cfg.d})"
-            )
+        cfg = cls(**{k: Event.from_json(data[k], key=f"configuration key {k!r}") for k in "abj"})
+        if "d" in data:
+            try:
+                d = int(data["d"])
+            except (TypeError, ValueError):
+                d = None
+            if d != cfg.d:
+                raise ValueError(
+                    f"configuration key 'd' declares dimension {data['d']!r}, "
+                    f"but the coordinates have d = {cfg.d}"
+                )
         return cfg
 
 
@@ -368,6 +370,10 @@ class JamScenario:
 
     @classmethod
     def from_json(cls, data) -> "JamScenario":
+        if not isinstance(data, list):
+            raise ValueError(
+                f"scenario JSON must be a list of configurations, got {type(data).__name__}"
+            )
         return cls(tuple(JammingConfiguration.from_json(item) for item in data))
 
 

@@ -81,11 +81,18 @@ class Event:
         return [*self.x, self.t]
 
     @classmethod
-    def from_json(cls, data) -> "Event":
-        coords = [float(v) for v in data]
-        if len(coords) < 2:
-            raise ValueError("event JSON needs at least [x, t]")
-        return cls(x=tuple(coords[:-1]), t=coords[-1])
+    def from_json(cls, data, key: str = "event JSON") -> "Event":
+        """Read ``[x_1, ..., x_d, t]``; ``ValueError`` names ``key`` unless
+        ``data`` is a list of at least two finite numbers."""
+        try:
+            coords = [float(v) for v in data] if isinstance(data, (list, tuple)) else []
+            if len(coords) >= 2:
+                return cls(x=tuple(coords[:-1]), t=coords[-1])
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(
+            f"{key} must be a list [x..., t] of at least two finite numbers, got {data!r}"
+        )
 
 
 @dataclass(frozen=True)

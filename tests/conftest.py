@@ -31,10 +31,6 @@ def random_boost(rng, d, max_speed=0.9):
     return Boost(tuple(speed * direction / norm))
 
 
-def boost_event(e, bst):
-    return boost(e, bst)
-
-
 def boost_configuration(cfg, bst):
     return JammingConfiguration(
         a=boost(cfg.a, bst), b=boost(cfg.b, bst), j=boost(cfg.j, bst)

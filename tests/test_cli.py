@@ -119,6 +119,108 @@ def test_chsh_curve_rows_are_pointwise_correlations(tmp_path, capsys, model):
     assert lines == ["theta,correlation"] + want
 
 
+# `chsh --optimize --format json` output recorded before the search stopped
+# at the algebraic bound: the eq2 start reaches 4 for the superquantum model,
+# a later start for the step table.
+_SUPERQUANTUM_OPTIMUM_JSON = """{
+  "command": "chsh",
+  "duration_s": null,
+  "ok": true,
+  "params": {
+    "model": {
+      "kind": "superquantum"
+    },
+    "optimize": true,
+    "tol": 1e-12
+  },
+  "results": {
+    "angles": [
+      1.5707963267948966,
+      0.0,
+      0.7853981633974483,
+      2.356194490192345
+    ],
+    "classification": "superquantum",
+    "note": "search result: heuristic lower bound on the true maximum",
+    "terms": [
+      1.0,
+      1.0,
+      1.0,
+      -1.0
+    ],
+    "value": 4.0
+  }
+}
+"""
+_STEP_TABLE_OPTIMUM_JSON = """{
+  "command": "chsh",
+  "duration_s": null,
+  "ok": true,
+  "params": {
+    "model": {
+      "kind": "table",
+      "thetas": [
+        0.0,
+        0.6,
+        1.7999999999999998,
+        3.141592653589793
+      ],
+      "values": [
+        1.0,
+        1.0,
+        -1.0,
+        -1.0
+      ]
+    },
+    "optimize": true,
+    "tol": 1e-12
+  },
+  "results": {
+    "angles": [
+      0.10471975511965978,
+      3.996803987067015,
+      1.9198621771937625,
+      4.583562073612696
+    ],
+    "classification": "superquantum",
+    "note": "search result: heuristic lower bound on the true maximum",
+    "terms": [
+      -1.0,
+      -1.0,
+      -1.0,
+      1.0
+    ],
+    "value": 4.0
+  }
+}
+"""
+
+
+def test_chsh_optimize_output_at_bound_is_unchanged(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "chsh", "--optimize", "--model", "superquantum",
+                             "--format", "json")
+    assert code == 0 and out == _SUPERQUANTUM_OPTIMUM_JSON
+    spec = {"kind": "table", "thetas": [0.0, 0.6, 3 * 0.6, math.pi],
+            "values": [1.0, 1.0, -1.0, -1.0]}
+    path = write_json(tmp_path / "step.json", spec)
+    code, out, err = run_cli(capsys, "chsh", "--optimize", "--model-file", path,
+                             "--format", "json")
+    assert code == 0 and out == _STEP_TABLE_OPTIMUM_JSON
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({"kind": "table"}, "'thetas'"),
+    ([], "'kind'"),
+    ({"kind": "classical", "strategy": "q"}, "'strategy'"),
+])
+def test_chsh_bad_model_file_is_input_error(tmp_path, capsys, spec, key):
+    path = write_json(tmp_path / "m.json", spec)
+    code, out, err = run_cli(capsys, "chsh", "--optimize", "--model-file", path)
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err and out == ""
+
+
 # -------------------------------------------------------------------- nosig
 
 
@@ -264,6 +366,31 @@ def test_jam_config_without_jammer_is_input_error(tmp_path, capsys):
     assert code == 2
     assert "'j'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({"a": 5, "b": [1.0, 0.0], "j": [0.0, -0.5]}, "'a'"),
+    ({"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.0, -0.5], "d": "x"}, "'d'"),
+])
+def test_jam_config_with_bad_key_is_input_error(tmp_path, capsys, cfg, key):
+    path = write_json(tmp_path / "cfg.json", cfg)
+    code, out, err = run_cli(capsys, "jam", "--config", path)
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("args,payload", [
+    (("jam", "--scenario"), {"a": 5}),
+    (("boost", "--v", "0.1", "--events"), 5),
+    (("boost", "--v", "0.1", "--events"), [[0.0, 0.0], [1.0]]),
+])
+def test_non_list_json_is_input_error(tmp_path, capsys, args, payload):
+    path = write_json(tmp_path / "in.json", payload)
+    code, out, err = run_cli(capsys, *args, path)
+    assert code == 2
+    assert "must be a list" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_jam_sweep_position_in_exponent_notation(tmp_path, capsys):
@@ -428,6 +555,15 @@ def test_malformed_box_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "nosig", "--box", str(path))
     assert code == 2
     assert "P" in err
+
+
+@pytest.mark.parametrize("payload", [5, [], ["P"]])
+def test_box_that_is_not_an_object_is_input_error(tmp_path, capsys, payload):
+    path = write_json(tmp_path / "box.json", payload)
+    code, out, err = run_cli(capsys, "nosig", "--box", path)
+    assert code == 2
+    assert "'P'" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_bad_angles_is_input_error(capsys):

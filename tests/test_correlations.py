@@ -106,6 +106,31 @@ def test_table_model_interpolates():
         TableModel([0.0, PI], [-2.0, 1.0])
 
 
+def test_table_scalar_equals_array_at_edges():
+    # the scalar path repeats np.interp's arithmetic in plain floats
+    tables = [
+        TableModel([0.2, 1.1, 2.9], [0.3, -0.6, 0.9]),  # first > 0, last < pi
+        TableModel([0.5, 2.5], [-1.0, 1.0]),  # two points
+        TableModel([0.0, 0.4, 1.3, 1.9, PI], [1.0, 0.25, 0.25, -0.8, -1.0]),  # flat segment
+        TableModel([0.0, PI], [0.7, -0.2]),
+        TableModel([0.0, 5e-324, 1.0, PI], [1.0, -1.0, 0.5, 0.0]),  # infinite slope
+    ]
+    for model in tables:
+        nodes = model.thetas.tolist()
+        thetas = [0.0, PI] + nodes
+        thetas += [math.nextafter(t, -math.inf) for t in nodes]
+        thetas += [math.nextafter(t, math.inf) for t in nodes]
+        thetas += np.linspace(0.0, PI, 1001).tolist()
+        thetas = [t for t in thetas if 0.0 <= t <= PI]
+        want = model.correlation_array(np.array(thetas))
+        got = np.array([model.correlation(t) for t in thetas])
+        assert np.array_equal(got, want), nodes
+        for t, v in zip(nodes, model.values.tolist()):
+            assert model.correlation(t) == v
+    assert tables[2].correlation(0.8) == 0.25
+    assert tables[0].correlation(0.0) == 0.3 and tables[0].correlation(PI) == 0.9
+
+
 class _PointwiseModel(CorrelationModel):
     """A model that defines only the scalar ``_corr``: the array path falls
     back to calling it point by point."""
@@ -144,6 +169,21 @@ def test_correlation_array_rejects_nonfinite(bad):
     for model in _all_models():
         with pytest.raises(ValueError, match="finite"):
             model.correlation_array([0.1, bad, 0.2])
+
+
+@pytest.mark.parametrize("data,key", [
+    ({"kind": "table"}, "'thetas'"),
+    ({"kind": "table", "thetas": [0.0, 1.0]}, "'values'"),
+    ([], "'kind'"),
+    ({"kind": "quantum"}, "'kind'"),
+    ({"kind": "classical"}, "'strategy'"),
+    ({"kind": "classical", "strategy": "q"}, "'strategy'"),
+    ({"kind": "classical", "strategy": 16}, "'strategy'"),
+    ({"kind": "table", "thetas": "abc", "values": [1.0]}, "'thetas'"),
+])
+def test_model_from_json_names_bad_key(data, key):
+    with pytest.raises(ValueError, match=key):
+        model_from_json(data)
 
 
 def test_model_json_roundtrip():
@@ -381,6 +421,38 @@ def test_maximize_float_only_interpolant():
     assert maximize_chsh(_PointwiseModel()).value == maximize_chsh(SingletModel()).value
 
 
+# Step tables E = [1, 1, -1, -1] at thetas [0, c1, 3*c1, pi]: the eq2 start
+# ends just short of 4 and a later start reaches 4, so the search stops
+# there. (angles, value, terms) recorded before it stopped at the bound,
+# when every start ran.
+_GOLDEN_STEP_OPTIMA = {
+    (0.5, 0): ((0.0, 5.096361415823442, 1.5009831567151235, 4.60766922526503),
+               4.0, (-1.0, -1.0, -1.0, 1.0)),
+    (0.5, 3): ((0.5381495885689892, 3.1590459461097367, 5.034555946803014,
+                3.6578319513973883), 4.0, (-1.0, -1.0, -1.0, 1.0)),
+    (0.6, 0): ((0.10471975511965978, 3.996803987067015, 1.9198621771937625,
+                4.583562073612696), 4.0, (-1.0, -1.0, -1.0, 1.0)),
+    (0.6, 3): ((0.5585053606381855, 3.07177948351002, 5.034555946803014,
+                3.6578319513973883), 4.0, (-1.0, -1.0, -1.0, 1.0)),
+    (0.7, 0): ((0.4188790204786391, 4.642575810304916, 2.5307274153917776,
+                4.590215932745087), 4.0, (-1.0, -1.0, -1.0, 1.0)),
+    (0.75, 3): ((1.0122909661567112, 2.530727415391778, 4.782202150464463,
+                 3.263765701229396), 4.0, (-1.0, -1.0, -1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("c1,seed", sorted(_GOLDEN_STEP_OPTIMA))
+def test_maximize_stops_at_bound_with_golden_step_tables(c1, seed):
+    angles, value, terms = _GOLDEN_STEP_OPTIMA[c1, seed]
+    model = TableModel([0.0, c1, 3 * c1, PI], [1.0, 1.0, -1.0, -1.0])
+    first = maximize_chsh(model, extra_starts=0, seed=seed)
+    assert first.value < 4.0  # the preset starts fall short
+    opt = maximize_chsh(model, seed=seed)
+    assert opt.angles == angles
+    assert opt.value == value
+    assert opt.result.terms == terms
+
+
 def test_maximize_counts_evaluations():
     # A constant model never improves: per start one objective (4 points),
     # one round of four sweeps (2 varying terms over the grid plus 2 fixed
@@ -397,6 +469,23 @@ def test_maximize_counts_evaluations():
     opt = maximize_chsh(DeterministicModel(5), coarse, final, extra)
     assert opt.evaluations == 4 + (3 + extra) * per_start + 4
     assert maximize_chsh(SingletModel()).evaluations > opt.evaluations
+
+
+def test_maximize_superquantum_runs_one_start():
+    # the eq2 start is already at 4, so only its own search runs: one
+    # objective, one round of sweeps that find nothing better and the full
+    # refinement, as for the constant model in the test above
+    coarse, final = math.pi / 180.0, 1e-8
+    grid = np.arange(0.0, 2.0 * math.pi, coarse).size
+    steps = 0
+    step = coarse
+    while step >= final:
+        steps += 1
+        step /= 2.0
+    per_start = 4 + 4 * (2 * grid + 2) + steps * 8 * 4
+    opt = maximize_chsh(SuperquantumModel())
+    assert opt.value == 4.0
+    assert opt.evaluations == 4 + per_start + 4
 
 
 @pytest.mark.parametrize("steps", [{"final_step": 0.0}, {"final_step": -1e-8},

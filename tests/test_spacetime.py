@@ -363,6 +363,12 @@ def test_event_json_roundtrip():
     assert e.to_json() == [1.5, -2.0, 0.25]
 
 
+@pytest.mark.parametrize("data", [5, [1.0], [1.0, "t"], "12", [1.0, math.nan], {"x": 1}])
+def test_event_from_json_names_bad_key(data):
+    with pytest.raises(ValueError, match="key 'j' must be a list"):
+        Event.from_json(data, key="key 'j'")
+
+
 def test_boost_json_roundtrip():
     b = Boost((0.3, -0.2))
     assert Boost.from_json(json.loads(json.dumps(b.to_json()))) == b
