@@ -53,12 +53,10 @@ from .jamming import (
 from .spacetime import (
     Boost,
     Event,
-    FrameMap,
     IntervalClass,
     LightCone,
     achievable_orderings,
     boost,
-    canonicalize_pair,
     default_tol,
     in_future_cone,
     interval,

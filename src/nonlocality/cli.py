@@ -48,12 +48,9 @@ def _parse_sweep_range(text: str) -> tuple[float, float, int]:
 def _parse_tol(text: str) -> float:
     """``--tol``: a finite number > 0."""
     try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return tol
+        return st._resolve_tol(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
@@ -66,22 +63,6 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
             f"or four comma-separated angles a,a',b,b'; got {text!r}"
         )
     return tuple(values)  # type: ignore[return-value]
-
-
-def _parse_model(spec: str) -> corr.CorrelationModel:
-    if spec == "singlet":
-        return corr.SingletModel()
-    if spec == "superquantum":
-        return corr.SuperquantumModel()
-    if spec.startswith("classical:"):
-        try:
-            return corr.DeterministicModel(int(spec.split(":", 1)[1]))
-        except ValueError:
-            pass
-    raise ValueError(
-        "--model takes singlet, superquantum or classical:ID with ID an integer "
-        f"0..15, got {spec!r}; or use --model-file"
-    )
 
 
 def _load_json(path: str):
@@ -101,7 +82,19 @@ def _model_from_args(args) -> corr.CorrelationModel:
     if getattr(args, "model_file", None):
         return corr.model_from_json(_load_json(args.model_file))
     if getattr(args, "model", None):
-        return _parse_model(args.model)
+        # NAME[:ID] is the model JSON {"kind": NAME, "strategy": ID}
+        kind, sep, ident = args.model.partition(":")
+        data = {"kind": kind, "strategy": ident} if sep else {"kind": kind}
+        try:
+            # only classical takes an ID, and a table needs --model-file
+            if kind != "table" and bool(sep) == (kind == "classical"):
+                return corr.model_from_json(data)
+        except ValueError:
+            pass
+        raise ValueError(
+            "--model takes singlet, superquantum or classical:ID with ID an integer "
+            f"0..15, got {args.model!r}; or use --model-file"
+        )
     raise ValueError("provide --model NAME or --model-file FILE")
 
 
@@ -191,7 +184,7 @@ def _cmd_nosig(args):
 
 
 def _cmd_jam(args):
-    tol = args.tol if args.tol is not None else st.default_tol()
+    tol = st._resolve_tol(args.tol)
     params = {"tol": tol}
     if args.latest:
         position = tuple(_parse_floats(args.position)) if args.position else None

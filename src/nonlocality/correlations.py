@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from .spacetime import _resolve_tol
+
 PROB_TOL = 1e-12
 CLASSICAL_BOUND = 2.0
 QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
@@ -147,6 +149,7 @@ class NoSignallingReport:
 
 def check_no_signalling(box: NoSignallingBox, tol: float = PROB_TOL) -> NoSignallingReport:
     """Largest dependence of one party's marginals on the other's setting."""
+    tol = _resolve_tol(tol)
     dev = 0.0
     for x in (0, 1):
         dev = max(dev, float(np.max(np.abs(box.marginal_a(x, 0) - box.marginal_a(x, 1)))))
@@ -314,9 +317,10 @@ class DeterministicModel(CorrelationModel):
 class TableModel(CorrelationModel):
     """Custom correlation model, linearly interpolated from (theta, E) pairs.
 
-    Outside the table E is held at the first or last value. The scalar path
-    repeats ``np.interp``'s arithmetic in plain floats, so both paths agree
-    bit for bit.
+    Outside the table E is held at the first or last value. Values may
+    exceed [-1, 1] by ``PROB_TOL`` and are clipped to it, so no table
+    passes the algebraic bound. The scalar path repeats ``np.interp``'s
+    arithmetic in plain floats, so both paths agree bit for bit.
     """
 
     kind = "table"
@@ -333,9 +337,9 @@ class TableModel(CorrelationModel):
         if np.any(np.abs(va) > 1.0 + PROB_TOL):
             raise ValueError("correlation values must lie in [-1, 1]")
         self.thetas = th
-        self.values = va
+        self.values = np.clip(va, -1.0, 1.0)
         self._xs = th.tolist()
-        self._ys = va.tolist()
+        self._ys = self.values.tolist()
 
     def _corr(self, theta: float) -> float:
         xs, ys = self._xs, self._ys

@@ -45,8 +45,8 @@ from .spacetime import (
     Event,
     IntervalClass,
     LightCone,
+    _resolve_tol,
     cone_slack,
-    default_tol,
     interval,
 )
 
@@ -120,8 +120,7 @@ class ConfigurationValidation:
 def validate_configuration(
     cfg: JammingConfiguration, tol: float | None = None
 ) -> ConfigurationValidation:
-    if tol is None:
-        tol = default_tol()
+    tol = _resolve_tol(tol)
     ab = interval(cfg.a, cfg.b, tol=tol)
     aj = interval(cfg.a, cfg.j, tol=tol)
     bj = interval(cfg.b, cfg.j, tol=tol)
@@ -191,8 +190,7 @@ def binary_condition(cfg: JammingConfiguration, tol: float | None = None) -> Bin
     r = w/(|j1| - 1) when |j1| > 1, else t = max(1, 2/|margin|), where the
     slack is at most margin/2. In d = 1 it is the apex (r = 0, t = 1).
     """
-    if tol is None:
-        tol = default_tol()
+    tol = _resolve_tol(tol)
     val = validate_configuration(cfg, tol=tol)
     if not val.valid:
         raise ValueError(
@@ -278,8 +276,7 @@ def latest_jammer_time(d: int, position=None, tol: float | None = None) -> Lates
     the nearer measurement, where validity fails, so the window is empty
     and ``ValueError`` is raised.
     """
-    if tol is None:
-        tol = default_tol()
+    tol = _resolve_tol(tol)
     if d < 1:
         raise ValueError(f"spatial dimension must be at least 1, got {d}")
     if position is None:
@@ -337,6 +334,7 @@ def check_unary(
     original: NoSignallingBox, jammed: NoSignallingBox, tol: float = PROB_TOL
 ) -> UnaryReport:
     """No single-party statistic may reveal jamming: compare all marginals."""
+    tol = _resolve_tol(tol)
     dev = 0.0
     for x in (0, 1):
         for y in (0, 1):
@@ -398,8 +396,7 @@ def influence_edges(scenario: JamScenario, tol: float | None = None) -> list[tup
     readable, so it is the weakest relation under which one jamming event
     can influence another.
     """
-    if tol is None:
-        tol = default_tol()
+    tol = _resolve_tol(tol)
     edges = []
     cones = [
         (LightCone(c.a, FUTURE), LightCone(c.b, FUTURE)) for c in scenario.configurations
@@ -454,8 +451,7 @@ def detect_causal_loops(scenario: JamScenario, tol: float | None = None) -> Loop
     partial order and no cycle can occur; this function verifies that claim
     mechanically for concrete scenarios.
     """
-    if tol is None:
-        tol = default_tol()
+    tol = _resolve_tol(tol)
     for idx, cfg in enumerate(scenario.configurations):
         if not validate_configuration(cfg, tol=tol).valid:
             raise ValueError(f"configuration {idx} is not mutually spacelike")

@@ -3,9 +3,12 @@
 Events are points (x_1 .. x_d, t). Light cones are closed sets, and all
 classifications use a symmetric tolerance band so that points numerically
 on a cone surface are reported as boundary rather than flipping sides.
-The default geometric tolerance is 1e-9 and can be overridden with the
-``NONLOCALITY_TOL`` environment variable, which must hold a finite
-number > 0.
+Every ``tol`` argument must be a finite number > 0; None means the default
+geometric tolerance, 1e-9, or the value of the ``NONLOCALITY_TOL``
+environment variable, which obeys the same rule.
+
+Each call takes single events, so the module is plain ``math`` on
+coordinate tuples and imports no numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 GEOMETRIC_TOL = 1e-9
 TOL_ENV_VAR = "NONLOCALITY_TOL"
@@ -32,19 +33,30 @@ BOUNDARY = "boundary"
 OUTSIDE = "outside"
 
 
+def _resolve_tol(tol=None, name: str = "tol") -> float:
+    """``tol`` as a float, or ``default_tol()`` when it is None.
+
+    Raises ``ValueError`` naming ``name`` unless the value is a finite
+    number > 0; a string is parsed first. This is the package's one rule
+    for tolerances: every library ``tol`` argument, ``NONLOCALITY_TOL`` and
+    the CLI's ``--tol`` go through it.
+    """
+    if tol is None:
+        return default_tol()
+    try:
+        value = float(tol)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
+    return value
+
+
 def default_tol() -> float:
     """Geometric tolerance: ``GEOMETRIC_TOL``, or the value of the
     NONLOCALITY_TOL env var, which must be a finite number > 0."""
     text = os.environ.get(TOL_ENV_VAR)
-    if text is None:
-        return GEOMETRIC_TOL
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"{TOL_ENV_VAR} must be a finite number > 0, got {text!r}")
-    return tol
+    return GEOMETRIC_TOL if text is None else _resolve_tol(text, TOL_ENV_VAR)
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -52,6 +64,10 @@ def _as_float_tuple(values) -> tuple[float, ...]:
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"coordinates must be finite, got {out}")
     return out
+
+
+def _dot(p, q) -> float:
+    return sum(x * y for x, y in zip(p, q))
 
 
 @dataclass(frozen=True)
@@ -72,9 +88,6 @@ class Event:
     @property
     def d(self) -> int:
         return len(self.x)
-
-    def xvec(self) -> np.ndarray:
-        return np.asarray(self.x, dtype=float)
 
     def to_json(self) -> list[float]:
         """Serialize as [x_1, ..., x_d, t]."""
@@ -125,13 +138,6 @@ class Boost:
     def zero(cls, d: int) -> "Boost":
         return cls((0.0,) * d)
 
-    def to_json(self) -> dict:
-        return {"v": list(self.v)}
-
-    @classmethod
-    def from_json(cls, data) -> "Boost":
-        return cls(tuple(float(c) for c in data["v"]))
-
 
 @dataclass(frozen=True)
 class IntervalClass:
@@ -161,11 +167,10 @@ def _require_same_dimension(*events: Event) -> int:
 def interval(e1: Event, e2: Event, tol: float | None = None) -> IntervalClass:
     """Classify the interval between two events; symmetric in its arguments."""
     _require_same_dimension(e1, e2)
-    if tol is None:
-        tol = default_tol()
+    tol = _resolve_tol(tol)
     dt = e2.t - e1.t
-    dx = e2.xvec() - e1.xvec()
-    s2 = dt * dt - float(dx @ dx)
+    dx = [q - p for p, q in zip(e1.x, e2.x)]
+    s2 = dt * dt - _dot(dx, dx)
     if s2 > tol:
         kind = TIMELIKE
     elif s2 < -tol:
@@ -181,17 +186,15 @@ def boost(e: Event, b: Boost) -> Event:
     The component of x along v maps to gamma*(x_par - v t), orthogonal
     components are unchanged, and t' = gamma*(t - v.x).
     """
-    _require_same_dimension(e, Event(b.v, 0.0))
-    v = np.asarray(b.v, dtype=float)
-    v2 = float(v @ v)
+    if b.d != e.d:
+        raise ValueError(f"boost has dimension {b.d}, event has dimension {e.d}")
+    v2 = _dot(b.v, b.v)
     if v2 == 0.0:
         return e
-    x = e.xvec()
     g = b.gamma
-    vdotx = float(v @ x)
-    t_new = g * (e.t - vdotx)
-    x_new = x + ((g - 1.0) * vdotx / v2 - g * e.t) * v
-    return Event(tuple(x_new), t_new)
+    vdotx = _dot(b.v, e.x)
+    k = (g - 1.0) * vdotx / v2 - g * e.t
+    return Event(tuple(x + k * c for x, c in zip(e.x, b.v)), g * (e.t - vdotx))
 
 
 def cone_slack(e: Event, cone: LightCone) -> float:
@@ -202,7 +205,7 @@ def cone_slack(e: Event, cone: LightCone) -> float:
     up to tolerance.
     """
     _require_same_dimension(e, cone.apex)
-    dist = float(np.linalg.norm(e.xvec() - cone.apex.xvec()))
+    dist = math.dist(e.x, cone.apex.x)
     if cone.orientation == FUTURE:
         return (e.t - cone.apex.t) - dist
     return (cone.apex.t - e.t) - dist
@@ -210,8 +213,7 @@ def cone_slack(e: Event, cone: LightCone) -> float:
 
 def in_future_cone(e: Event, cone: LightCone, tol: float | None = None) -> str:
     """Classify an event against a (closed) light cone: inside/boundary/outside."""
-    if tol is None:
-        tol = default_tol()
+    tol = _resolve_tol(tol)
     slack = cone_slack(e, cone)
     if slack > tol:
         return INSIDE
@@ -220,102 +222,7 @@ def in_future_cone(e: Event, cone: LightCone, tol: float | None = None) -> str:
     return BOUNDARY
 
 
-@dataclass(frozen=True)
-class FrameMap:
-    """Composite coordinate change: boost, translation, orthogonal spatial
-    alignment, then uniform positive scaling of all coordinates.
-
-    Each step maps light cones to light cones (the scaling conformally), so
-    cone-containment questions are invariant under the map. It is invertible
-    via :meth:`apply_inverse`.
-    """
-
-    boost_velocity: tuple[float, ...]
-    shift_x: tuple[float, ...]  # added to spatial coords after the boost
-    shift_t: float
-    alignment: tuple[tuple[float, ...], ...]  # orthogonal matrix, rows
-    scale: float
-
-    def _matrix(self) -> np.ndarray:
-        return np.asarray(self.alignment, dtype=float)
-
-    def apply(self, e: Event) -> Event:
-        e1 = boost(e, Boost(self.boost_velocity))
-        x = e1.xvec() + np.asarray(self.shift_x)
-        t = e1.t + self.shift_t
-        x = self._matrix() @ x
-        return Event(tuple(self.scale * x), self.scale * t)
-
-    def apply_inverse(self, e: Event) -> Event:
-        x = e.xvec() / self.scale
-        t = e.t / self.scale
-        x = self._matrix().T @ x
-        x = x - np.asarray(self.shift_x)
-        t = t - self.shift_t
-        return boost(Event(tuple(x), t), Boost(self.boost_velocity).inverse())
-
-
-def _alignment_to_first_axis(u: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix Q with Q @ u = e1 for a unit vector u.
-
-    Householder reflection; for u already equal to e1 returns the identity.
-    """
-    d = u.shape[0]
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    w = u - e1
-    wnorm2 = float(w @ w)
-    if wnorm2 < 1e-30:
-        return np.eye(d)
-    return np.eye(d) - 2.0 * np.outer(w, w) / wnorm2
-
-
-def canonicalize_pair(
-    a: Event, b: Event, tol: float | None = None
-) -> tuple[FrameMap, Event, Event]:
-    """Construct the frame in which a spacelike pair sits at (-1, 0...; 0)
-    and (+1, 0...; 0).
-
-    Combines a boost to simultaneity, a translation of the midpoint to the
-    origin, an orthogonal alignment of the separation axis with x_1, and a
-    uniform scaling to separation 2. Raises if the pair is not spacelike.
-    """
-    if tol is None:
-        tol = default_tol()
-    iv = interval(a, b, tol=tol)
-    if iv.kind != SPACELIKE:
-        raise ValueError(f"canonicalize_pair requires a spacelike pair, got {iv.kind}")
-    dx = b.xvec() - a.xvec()
-    dt = b.t - a.t
-    sep = float(np.linalg.norm(dx))
-    if dt != 0.0:
-        vel = (dt / sep) * (dx / sep)  # |vel| = |dt|/sep < 1 since spacelike
-    else:
-        vel = np.zeros(a.d)
-    bst = Boost(tuple(vel))
-    a1 = boost(a, bst)
-    b1 = boost(b, bst)
-    mid_x = (a1.xvec() + b1.xvec()) / 2.0
-    mid_t = (a1.t + b1.t) / 2.0
-    sep1 = b1.xvec() - a1.xvec()
-    u = sep1 / np.linalg.norm(sep1)
-    q = _alignment_to_first_axis(u)
-    scale = 2.0 / float(np.linalg.norm(sep1))
-    fm = FrameMap(
-        boost_velocity=tuple(float(v) for v in vel),
-        shift_x=tuple(float(v) for v in -mid_x),
-        shift_t=float(-mid_t),
-        alignment=tuple(tuple(float(v) for v in row) for row in q),
-        scale=float(scale),
-    )
-    return fm, fm.apply(a), fm.apply(b)
-
-
 MAX_ORDERING_EVENTS = 8
-
-
-def _dot(p, q) -> float:
-    return sum(x * y for x, y in zip(p, q))
 
 
 def _face_point(face, d: int) -> tuple[float, ...] | None:

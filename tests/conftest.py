@@ -87,9 +87,9 @@ def random_valid_configuration(rng, d, spread=2.0):
     """Mutually spacelike triple; binary condition may or may not hold."""
     while True:
         a, b = random_spacelike_pair(rng, d, spread=spread)
-        mid_x = (a.xvec() + b.xvec()) / 2.0
+        mid_x = (np.asarray(a.x) + np.asarray(b.x)) / 2.0
         mid_t = (a.t + b.t) / 2.0
-        sep = np.linalg.norm(b.xvec() - a.xvec())
+        sep = np.linalg.norm(np.asarray(b.x) - np.asarray(a.x))
         j = Event(
             tuple(mid_x + rng.uniform(-sep, sep, size=d)),
             float(mid_t + rng.uniform(-sep, sep)),
@@ -109,7 +109,7 @@ def random_holding_configuration(rng, d, allow_boost=True):
     shift_t = rng.uniform(-5.0, 5.0)
 
     def move(e):
-        return Event(tuple(scale * e.xvec() + shift_x), float(scale * e.t + shift_t))
+        return Event(tuple(scale * np.asarray(e.x) + shift_x), float(scale * e.t + shift_t))
 
     cfg = JammingConfiguration(a=move(cfg.a), b=move(cfg.b), j=move(cfg.j))
     if allow_boost and rng.random() < 0.5:

@@ -1,18 +1,110 @@
 """The numerical ridge solver, kept as an independent oracle for the
-closed-form binary condition.
+closed-form binary condition, with the canonical-frame map it needs.
 
-It maps the pair (a, b) to the canonical frame with ``canonicalize_pair``
-and minimizes the containment slack over the cone-surface intersection:
-a 481-point geometric grid on t in [1, 1e12], golden-section refinement
-around the grid minimum, and the t -> infinity limit -(j_t + w) taken
-analytically. In d = 1 the slack is evaluated at the overlap's apex.
+``canonicalize_pair`` builds a ``FrameMap`` (boost, shift, rotation and
+scaling, in numpy) that puts a spacelike pair at (-1, 0...; 0) and
+(+1, 0...; 0). The solver maps the pair (a, b) there and minimizes the
+containment slack over the cone-surface intersection: a 481-point
+geometric grid on t in [1, 1e12], golden-section refinement around the
+grid minimum, and the t -> infinity limit -(j_t + w) taken analytically. In d = 1 the slack is evaluated at the overlap's apex.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from nonlocality.spacetime import canonicalize_pair
+from nonlocality.spacetime import SPACELIKE, Boost, Event, boost, interval
+
+
+@dataclass(frozen=True)
+class FrameMap:
+    """Composite coordinate change: boost, translation, orthogonal spatial
+    alignment, then uniform positive scaling of all coordinates.
+
+    Each step maps light cones to light cones (the scaling conformally), so
+    cone-containment questions are invariant under the map. It is invertible
+    via :meth:`apply_inverse`.
+    """
+
+    boost_velocity: tuple[float, ...]
+    shift_x: tuple[float, ...]  # added to spatial coords after the boost
+    shift_t: float
+    alignment: tuple[tuple[float, ...], ...]  # orthogonal matrix, rows
+    scale: float
+
+    def _matrix(self) -> np.ndarray:
+        return np.asarray(self.alignment, dtype=float)
+
+    def apply(self, e: Event) -> Event:
+        e1 = boost(e, Boost(self.boost_velocity))
+        x = np.asarray(e1.x) + np.asarray(self.shift_x)
+        t = e1.t + self.shift_t
+        x = self._matrix() @ x
+        return Event(tuple(self.scale * x), self.scale * t)
+
+    def apply_inverse(self, e: Event) -> Event:
+        x = np.asarray(e.x) / self.scale
+        t = e.t / self.scale
+        x = self._matrix().T @ x
+        x = x - np.asarray(self.shift_x)
+        t = t - self.shift_t
+        return boost(Event(tuple(x), t), Boost(self.boost_velocity).inverse())
+
+
+def _alignment_to_first_axis(u: np.ndarray) -> np.ndarray:
+    """Orthogonal matrix Q with Q @ u = e1 for a unit vector u.
+
+    Householder reflection; for u already equal to e1 returns the identity.
+    """
+    d = u.shape[0]
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    w = u - e1
+    wnorm2 = float(w @ w)
+    if wnorm2 < 1e-30:
+        return np.eye(d)
+    return np.eye(d) - 2.0 * np.outer(w, w) / wnorm2
+
+
+def canonicalize_pair(
+    a: Event, b: Event, tol: float | None = None
+) -> tuple[FrameMap, Event, Event]:
+    """Construct the frame in which a spacelike pair sits at (-1, 0...; 0)
+    and (+1, 0...; 0).
+
+    Combines a boost to simultaneity, a translation of the midpoint to the
+    origin, an orthogonal alignment of the separation axis with x_1, and a
+    uniform scaling to separation 2. Raises if the pair is not spacelike.
+    """
+    iv = interval(a, b, tol=tol)
+    if iv.kind != SPACELIKE:
+        raise ValueError(f"canonicalize_pair requires a spacelike pair, got {iv.kind}")
+    dx = np.asarray(b.x) - np.asarray(a.x)
+    dt = b.t - a.t
+    sep = float(np.linalg.norm(dx))
+    if dt != 0.0:
+        vel = (dt / sep) * (dx / sep)  # |vel| = |dt|/sep < 1 since spacelike
+    else:
+        vel = np.zeros(a.d)
+    bst = Boost(tuple(vel))
+    a1 = boost(a, bst)
+    b1 = boost(b, bst)
+    mid_x = (np.asarray(a1.x) + np.asarray(b1.x)) / 2.0
+    mid_t = (a1.t + b1.t) / 2.0
+    sep1 = np.asarray(b1.x) - np.asarray(a1.x)
+    u = sep1 / np.linalg.norm(sep1)
+    q = _alignment_to_first_axis(u)
+    scale = 2.0 / float(np.linalg.norm(sep1))
+    fm = FrameMap(
+        boost_velocity=tuple(float(v) for v in vel),
+        shift_x=tuple(float(v) for v in -mid_x),
+        shift_t=float(-mid_t),
+        alignment=tuple(tuple(float(v) for v in row) for row in q),
+        scale=float(scale),
+    )
+    return fm, fm.apply(a), fm.apply(b)
+
 
 RIDGE_T_MAX = 1e12
 RIDGE_GRID_POINTS = 480

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -66,7 +67,9 @@ def test_chsh_explicit_angles(capsys):
     assert report["results"]["value"] == pytest.approx(-2 * math.sqrt(2), abs=1e-12)
 
 
-@pytest.mark.parametrize("spec", ["classical:x", "classical:99", "quantum"])
+@pytest.mark.parametrize(
+    "spec", ["classical:x", "classical:99", "quantum", "singlet:3", "table", "classical:"]
+)
 def test_chsh_bad_model_is_input_error(capsys, spec):
     code, out, err = run_cli(capsys, "chsh", "--model", spec)
     assert code == 2
@@ -589,3 +592,37 @@ def test_text_output_mentions_value(capsys):
     assert code == 0
     assert "value: 4" in out
     assert "ok: True" in out
+
+
+# SHA-256 of the JSON report (and CSV) of geometry commands, recorded while
+# interval, boost and cone_slack still ran in numpy; the plain-math layer
+# must reproduce them byte for byte.
+_GEOMETRY_DIGESTS = [
+    (["jam", "--config", "cfg.json"],
+     "383efbe2c5af9b8fe698649335d1f53f76575259ce277e49fee1e5678c905603"),
+    (["jam", "--latest", "--d", "2", "--position", "0.3,0.4"],
+     "9794625dc091eec07b79511e6c3f24d4b547844ad65feeab8b47a37ca667ef97"),
+    (["jam", "--sweep", "--d", "2", "--position", "0.1,0.2", "--sweep-range", "-1.5,0.5,9",
+      "--csv", "sweep.csv"],
+     "8e0a7f05341ced749608b24c71bec330901811dfad344da423765a04ae6cc0c8"),
+    (["jam", "--scenario", "sc.json"],
+     "e0b70b968aa6f1a469db070175a5a76fca325f4af6879c8895308d50a7ca894a"),
+    (["boost", "--events", "ev.json", "--orderings"],
+     "f2362517db6a2e1e972099671ead5e039dd7c229afb6961611196e4b33aab5fd"),
+]
+
+
+@pytest.mark.parametrize("args,digest", _GEOMETRY_DIGESTS, ids=[a[1] for a, _ in _GEOMETRY_DIGESTS])
+def test_geometry_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys, args, digest):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "cfg.json", {"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.3, 0.2], "d": 1})
+    write_json(tmp_path / "sc.json", [
+        {"a": [-1.0, 0.0, 0.0], "b": [1.0, 0.0, 0.0], "j": [0.0, 0.2, -0.5]},
+        {"a": [2.0, 0.0, 1.0], "b": [4.0, 0.0, 1.0], "j": [3.0, 0.5, 0.0]},
+    ])
+    write_json(tmp_path / "ev.json", [[-2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [3.0, -0.5, -0.1]])
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    if "--csv" in args:
+        out += (tmp_path / "sweep.csv").read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

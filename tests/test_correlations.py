@@ -106,6 +106,17 @@ def test_table_model_interpolates():
         TableModel([0.0, PI], [-2.0, 1.0])
 
 
+def test_table_values_clipped_to_unit_interval():
+    # values within PROB_TOL outside [-1, 1] are accepted and clipped, so the
+    # search that stops at the algebraic bound returns exactly 4
+    over = [1.0 + 1e-12, 1.0 + 1e-12, -1.0 - 1e-12, -1.0 - 1e-12]
+    model = TableModel([0.0, PI / 4, 3 * PI / 4, PI], over)
+    assert model.values.tolist() == [1.0, 1.0, -1.0, -1.0]
+    assert model.to_json()["values"] == [1.0, 1.0, -1.0, -1.0]
+    assert model.correlation(PI / 8) == 1.0
+    assert maximize_chsh(model).value == 4.0
+
+
 def test_table_scalar_equals_array_at_edges():
     # the scalar path repeats np.interp's arithmetic in plain floats
     tables = [

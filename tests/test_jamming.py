@@ -18,6 +18,7 @@ from nonlocality import (
     check_unary,
     chsh,
     detect_causal_loops,
+    in_future_cone,
     influence_edges,
     interval,
     latest_jammer_time,
@@ -166,7 +167,7 @@ def test_binary_monotone_towards_the_past(rng):
         direction = rng.normal(size=d)
         dt = rng.uniform(0.1, 1.0)
         shift = rng.uniform(0.0, 0.9) * dt * direction / max(np.linalg.norm(direction), 1e-12)
-        j_past = Event(tuple(cfg.j.xvec() - shift), cfg.j.t - dt)
+        j_past = Event(tuple(np.asarray(cfg.j.x) - shift), cfg.j.t - dt)
         older = JammingConfiguration(a=cfg.a, b=cfg.b, j=j_past)
         if not validate_configuration(older).valid:
             continue
@@ -180,7 +181,7 @@ def _sample_overlap_point(rng, cfg, t_max=50.0):
     a, b = cfg.a, cfg.b
     while True:
         t = rng.uniform(min(a.t, b.t), t_max)
-        center = (a.xvec() + b.xvec()) / 2.0
+        center = (np.asarray(a.x) + np.asarray(b.x)) / 2.0
         x = center + rng.uniform(-t_max, t_max, size=cfg.d)
         e = Event(tuple(x), t)
         if cone_slack(e, LightCone(a)) >= 0.0 and cone_slack(e, LightCone(b)) >= 0.0:
@@ -427,3 +428,35 @@ def test_scenario_json_roundtrip():
     scenario = JamScenario((cfg_1d(0.0, 0.5), cfg_1d(0.2, -0.3)))
     data = json.loads(json.dumps(scenario.to_json()))
     assert JamScenario.from_json(data) == scenario
+
+
+# ---------------------------------------------------------------- tolerance
+
+
+def _tol_calls():
+    a, b = canonical_pair(2)
+    cfg = JammingConfiguration(a=a, b=b, j=Event((0.0, 0.3), -0.5))
+    scenario = JamScenario((cfg,))
+    box = builtin_box("superquantum-eq2")
+    return {
+        "interval": lambda tol: interval(a, b, tol=tol),
+        "in_future_cone": lambda tol: in_future_cone(cfg.j, LightCone(a), tol=tol),
+        "validate_configuration": lambda tol: validate_configuration(cfg, tol=tol),
+        "binary_condition": lambda tol: binary_condition(cfg, tol=tol),
+        "latest_jammer_time": lambda tol: latest_jammer_time(2, (0.3, 0.4), tol=tol),
+        "influence_edges": lambda tol: influence_edges(scenario, tol=tol),
+        "detect_causal_loops": lambda tol: detect_causal_loops(scenario, tol=tol),
+        "check_no_signalling": lambda tol: check_no_signalling(box, tol=tol),
+        "check_unary": lambda tol: check_unary(box, apply_jamming(box), tol=tol),
+    }
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("call", sorted(_tol_calls()))
+def test_tolerance_must_be_finite_and_positive(call, value):
+    # tol=-1 made a spacelike pair timelike, nan made every interval null,
+    # and inf passed any box
+    fn = _tol_calls()[call]
+    fn(1e-9)
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        fn(value)
