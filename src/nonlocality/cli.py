@@ -1,16 +1,21 @@
 """Command-line front end.
 
 One binary with subcommands ``chsh``, ``nosig``, ``jam``, ``boost`` and
-``sample``. Reports are emitted as text tables or JSON (stable key order;
-identical inputs and seeds give byte-identical JSON). Exit codes: 0 on
-success, 1 when a checked claim fails (a verdict is false), 2 on input
-errors.
+``sample``. Each prints one report, as JSON with sorted keys (identical
+inputs and seeds give byte-identical JSON) or as text lines: the envelope
+``command``, ``params`` (the inputs echoed), ``results``, ``ok`` and
+``duration_s`` (null without ``--timing``). Where a report is a library
+dataclass, ``results`` holds its fields in declaration order (the text line
+order), with tuples written as lists and events as ``[x..., t]``. Exit
+codes: 0 on success, 1 when a checked claim fails (a verdict is false), 2
+on input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -53,6 +58,17 @@ def _parse_tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _parse_deterministic(text: str) -> str:
+    """``chsh --deterministic``: 'all' or a strategy id, an integer 0..15."""
+    try:
+        ok = text == "all" or 0 <= int(text) <= 15
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"expected 'all' or an integer 0..15, got {text!r}")
+    return text
+
+
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
     if text in corr.ANGLE_PRESETS:
         return corr.ANGLE_PRESETS[text]
@@ -84,8 +100,8 @@ def _model_from_args(args) -> corr.CorrelationModel:
     if getattr(args, "model", None):
         # NAME[:ID] is the model JSON {"kind": NAME, "strategy": ID}
         kind, sep, ident = args.model.partition(":")
-        data = {"kind": kind, "strategy": ident} if sep else {"kind": kind}
         try:
+            data = {"kind": kind, "strategy": int(ident)} if sep else {"kind": kind}
             # only classical takes an ID, and a table needs --model-file
             if kind != "table" and bool(sep) == (kind == "classical"):
                 return corr.model_from_json(data)
@@ -106,8 +122,28 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> int:
     return len(rows)
 
 
+def _jsonable(value):
+    """JSON data for a report value: its ``to_json()`` where the type has
+    one, else a dataclass as a dict of its fields in declaration order, a
+    tuple or list as a list, and a dict value by value."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    return value
+
+
 # --------------------------------------------------------------------------
-# Subcommands: each returns (results dict, params echo dict, ok flag)
+# Subcommands: each returns (results, params echo dict, ok flag); main
+# turns the report objects in them into JSON data with _jsonable
+
+
+def _chsh_results(res: corr.ChshResult) -> dict:
+    return {"value": res.value, "terms": res.terms, "classification": corr.classify_chsh(res.value)}
 
 
 def _cmd_chsh(args):
@@ -119,8 +155,8 @@ def _cmd_chsh(args):
         rows = [
             {
                 "strategy": s.strategy_id,
-                "alice": list(s.alice),
-                "bob": list(s.bob),
+                "alice": s.alice,
+                "bob": s.bob,
                 "value": s.result.value,
             }
             for s in strategies
@@ -134,17 +170,11 @@ def _cmd_chsh(args):
 
     if args.box or args.builtin:
         box = _load_box(args)
-        res = corr.chsh(box)
         params["box"] = args.box or args.builtin
-        results = {
-            "value": res.value,
-            "terms": list(res.terms),
-            "classification": corr.classify_chsh(res.value),
-        }
-        return results, params, True
+        return _chsh_results(corr.chsh(box)), params, True
 
     model = _model_from_args(args)
-    params["model"] = model.to_json()
+    params["model"] = model
     if args.curve is not None:
         if not args.csv:
             raise ValueError("--curve requires --csv PATH")
@@ -159,28 +189,22 @@ def _cmd_chsh(args):
         params["optimize"] = True
         results = {
             "value": opt.value,
-            "angles": list(opt.angles),
-            "terms": list(opt.result.terms),
+            "angles": opt.angles,
+            "terms": opt.result.terms,
             "classification": corr.classify_chsh(opt.value),
             "note": "search result: heuristic lower bound on the true maximum",
         }
         return results, params, True
     angles = _parse_angles(args.angles or "eq2")
-    res = corr.chsh_at_angles(model, *angles)
-    params["angles"] = list(angles)
-    results = {
-        "value": res.value,
-        "terms": list(res.terms),
-        "classification": corr.classify_chsh(res.value),
-    }
-    return results, params, True
+    params["angles"] = angles
+    return _chsh_results(corr.chsh_at_angles(model, *angles)), params, True
 
 
 def _cmd_nosig(args):
     box = _load_box(args)
     report = corr.check_no_signalling(box, tol=args.tol)
     params = {"box": args.box or args.builtin, "tol": args.tol}
-    return report.to_json(), params, report.passed
+    return report, params, report.passed
 
 
 def _cmd_jam(args):
@@ -189,8 +213,8 @@ def _cmd_jam(args):
     if args.latest:
         position = tuple(_parse_floats(args.position)) if args.position else None
         res = jam.latest_jammer_time(args.d, position=position, tol=tol)
-        params.update({"d": args.d, "position": list(res.position)})
-        return res.to_json(), params, True
+        params.update({"d": args.d, "position": res.position})
+        return res, params, True
     if args.sweep:
         if not args.csv:
             raise ValueError("--sweep requires --csv PATH")
@@ -209,24 +233,21 @@ def _cmd_jam(args):
             else:
                 rows.append([f"{jt:.12g}", 0, "nan", 0])
         count = _write_csv(args.csv, ["j_t", "valid", "margin", "holds"], rows)
-        params.update({"d": d, "position": list(position), "sweep_range": [lo, hi, n]})
+        params.update({"d": d, "position": position, "sweep_range": args.sweep_range})
         return {"csv": args.csv, "rows": count}, params, True
     if args.scenario:
         scenario = jam.JamScenario.from_json(_load_json(args.scenario))
         report = jam.detect_causal_loops(scenario, tol=tol)
         params["scenario"] = args.scenario
-        return report.to_json(), params, report.acyclic
+        return report, params, report.acyclic
     if args.config:
         cfg = jam.JammingConfiguration.from_json(_load_json(args.config))
         validation = jam.validate_configuration(cfg, tol=tol)
         params["config"] = args.config
-        results = {"validation": validation.to_json()}
-        ok = validation.valid
-        if validation.valid:
-            verdict = jam.binary_condition(cfg, tol=tol)
-            results["binary"] = verdict.to_json()
-            ok = verdict.holds
-        return results, params, ok
+        if not validation.valid:
+            return {"validation": validation}, params, False
+        verdict = jam.binary_condition(cfg, tol=tol)
+        return {"validation": validation, "binary": verdict}, params, verdict.holds
     if args.box or args.builtin:
         box = _load_box(args)
         jammed = jam.apply_jamming(box, strength=args.strength)
@@ -235,8 +256,8 @@ def _cmd_jam(args):
         results = {
             "chsh_before": corr.chsh(box).value,
             "chsh_after": corr.chsh(jammed).value,
-            "unary": unary.to_json(),
-            "jammed_box": jammed.to_json(),
+            "unary": unary,
+            "jammed_box": jammed,
         }
         return results, params, unary.holds
     raise ValueError("jam needs one of --config, --latest, --sweep, --scenario, --box/--builtin")
@@ -253,15 +274,15 @@ def _cmd_boost(args):
     if args.orderings:
         found = st.achievable_orderings(events)
         orderings = [
-            {"order": list(perm), "witness_velocity": list(bst.v)}
+            {"order": perm, "witness_velocity": bst.v}
             for perm, bst in sorted(found.items())
         ]
         return {"orderings": orderings, "count": len(orderings)}, params, True
     if args.v is None:
         raise ValueError("boost needs --v or --orderings")
     bst = st.Boost(tuple(_parse_floats(args.v)))
-    params["v"] = list(bst.v)
-    transformed = [st.boost(e, bst).to_json() for e in events]
+    params["v"] = bst.v
+    transformed = [st.boost(e, bst) for e in events]
     return {"events": transformed}, params, True
 
 
@@ -270,7 +291,7 @@ def _cmd_sample(args):
         model = _model_from_args(args)
         angles = _parse_angles(args.angles or "eq2")
         box = corr.box_from_model(model, *angles)
-        source = {"model": model.to_json(), "angles": list(angles)}
+        source = {"model": model, "angles": angles}
     else:
         box = _load_box(args)
         source = {"box": args.box or args.builtin}
@@ -279,7 +300,7 @@ def _cmd_sample(args):
         seed = int(np.random.SeedSequence().entropy % (2**32))
     report = corr.sample_outcomes(box, args.n, seed)
     params = {"n": args.n, "seed": seed, **source}
-    return report.to_json(), params, True
+    return report, params, True
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-file", help="JSON model file")
     p.add_argument("--angles", help="preset name or a,a',b,b'")
     p.add_argument("--optimize", action="store_true", help="maximize |CHSH| over angles")
-    p.add_argument("--deterministic", help="'all' or a strategy id 0..15")
+    p.add_argument("--deterministic", type=_parse_deterministic,
+                   help="'all' or a strategy id 0..15")
     p.add_argument("--box", help="box JSON file")
     p.add_argument("--builtin", help=f"one of {sorted(corr.BUILTIN_BOXES)}")
     p.add_argument("--curve", type=int, help="emit an E(theta) curve with N points")
@@ -454,20 +476,20 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
+    report = _jsonable({
         "command": args.command,
         "params": params,
         "results": results,
         "ok": ok,
         "duration_s": round(time.perf_counter() - started, 6) if args.timing else None,
-    }
+    })
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print(f"command: {args.command}")
-        for line in _render_text(params):
+        for line in _render_text(report["params"]):
             print(f"  {line}")
-        for line in _render_text(results):
+        for line in _render_text(report["results"]):
             print(line)
         print(f"ok: {ok}")
     return 0 if ok else 1

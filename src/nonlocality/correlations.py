@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spacetime import _resolve_tol
+from .spacetime import _json_number, _resolve_tol
 
 PROB_TOL = 1e-12
 CLASSICAL_BOUND = 2.0
@@ -139,13 +139,6 @@ class NoSignallingReport:
     max_deviation: float
     tol: float
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "tol": self.tol,
-        }
-
 
 def check_no_signalling(box: NoSignallingBox, tol: float = PROB_TOL) -> NoSignallingReport:
     """Largest dependence of one party's marginals on the other's setting."""
@@ -165,13 +158,6 @@ class ChshResult:
     value: float
     terms: tuple[float, float, float, float]
     angles: tuple[float, float, float, float] | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "terms": list(self.terms),
-            "angles": None if self.angles is None else list(self.angles),
-        }
 
 
 def chsh(box: NoSignallingBox) -> ChshResult:
@@ -383,8 +369,8 @@ def model_from_json(data) -> CorrelationModel:
         return SuperquantumModel()
     if kind == "classical":
         try:
-            return DeterministicModel(int(data["strategy"]))
-        except (TypeError, ValueError):
+            return DeterministicModel(_json_number(data["strategy"], "strategy", integer=True))
+        except ValueError:
             raise ValueError(
                 f"classical model key 'strategy' must be an integer 0..15, got {data['strategy']!r}"
             ) from None
@@ -596,16 +582,6 @@ class SampleReport:
     correlations: tuple  # empirical E(x, y)
     chsh_estimate: float
     std_error: float
-
-    def to_json(self) -> dict:
-        return {
-            "n_per_pair": self.n_per_pair,
-            "seed": self.seed,
-            "counts": [[list(map(list, self.counts[x][y])) for y in (0, 1)] for x in (0, 1)],
-            "correlations": [list(self.correlations[x]) for x in (0, 1)],
-            "chsh_estimate": self.chsh_estimate,
-            "std_error": self.std_error,
-        }
 
 
 def sample_outcomes(box: NoSignallingBox, n: int, seed: int) -> SampleReport:

@@ -45,6 +45,7 @@ from .spacetime import (
     Event,
     IntervalClass,
     LightCone,
+    _json_number,
     _resolve_tol,
     cone_slack,
     interval,
@@ -85,10 +86,7 @@ class JammingConfiguration:
             raise ValueError(f"configuration JSON lacks key(s) {', '.join(map(repr, missing))}")
         cfg = cls(**{k: Event.from_json(data[k], key=f"configuration key {k!r}") for k in "abj"})
         if "d" in data:
-            try:
-                d = int(data["d"])
-            except (TypeError, ValueError):
-                d = None
+            d = _json_number(data["d"], "configuration key 'd'", integer=True)
             if d != cfg.d:
                 raise ValueError(
                     f"configuration key 'd' declares dimension {data['d']!r}, "
@@ -106,15 +104,6 @@ class ConfigurationValidation:
     bj: IntervalClass
     valid: bool
     on_boundary: bool  # j null-separated from a or b: edge of the allowed region
-
-    def to_json(self) -> dict:
-        return {
-            "ab": {"kind": self.ab.kind, "squared": self.ab.squared},
-            "aj": {"kind": self.aj.kind, "squared": self.aj.squared},
-            "bj": {"kind": self.bj.kind, "squared": self.bj.squared},
-            "valid": self.valid,
-            "on_boundary": self.on_boundary,
-        }
 
 
 def validate_configuration(
@@ -148,13 +137,6 @@ class BinaryVerdict:
     holds: bool
     margin: float
     witness: Event | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "margin": self.margin,
-            "witness": None if self.witness is None else self.witness.to_json(),
-        }
 
 
 def _orthogonal_unit(u: list[float]) -> list[float]:
@@ -250,14 +232,6 @@ class LatestJammerResult:
     d: int
     position: tuple[float, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "time": self.time,
-            "attained": self.attained,
-            "d": self.d,
-            "position": list(self.position),
-        }
-
 
 def latest_jammer_time(d: int, position=None, tol: float | None = None) -> LatestJammerResult:
     """Latest jammer time consistent with validity and the binary condition.
@@ -326,9 +300,6 @@ class UnaryReport:
     max_deviation: float
     tol: float
 
-    def to_json(self) -> dict:
-        return {"holds": self.holds, "max_deviation": self.max_deviation, "tol": self.tol}
-
 
 def check_unary(
     original: NoSignallingBox, jammed: NoSignallingBox, tol: float = PROB_TOL
@@ -380,13 +351,6 @@ class LoopReport:
     acyclic: bool
     cycle: tuple[int, ...] | None
     edges: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "acyclic": self.acyclic,
-            "cycle": None if self.cycle is None else list(self.cycle),
-            "edges": [list(e) for e in self.edges],
-        }
 
 
 def influence_edges(scenario: JamScenario, tol: float | None = None) -> list[tuple[int, int]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -59,6 +60,22 @@ def default_tol() -> float:
     return GEOMETRIC_TOL if text is None else _resolve_tol(text, TOL_ENV_VAR)
 
 
+def _json_number(value, name: str, integer: bool = False):
+    """``value`` as a float, or an int if ``integer``; ``ValueError`` naming
+    ``name`` unless it is a finite real number (not a bool or a string), and
+    integral if ``integer``. The package's one rule for numbers read from
+    JSON: event coordinates, configuration ``'d'``, model ``'strategy'``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and (not integer or number.is_integer()):
+            return int(value) if integer else number
+    kind = "an integer" if integer else "a finite number"
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _as_float_tuple(values) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)
     if not all(math.isfinite(v) for v in out):
@@ -98,10 +115,10 @@ class Event:
         """Read ``[x_1, ..., x_d, t]``; ``ValueError`` names ``key`` unless
         ``data`` is a list of at least two finite numbers."""
         try:
-            coords = [float(v) for v in data] if isinstance(data, (list, tuple)) else []
-            if len(coords) >= 2:
+            if isinstance(data, (list, tuple)) and len(data) >= 2:
+                coords = [_json_number(v, key) for v in data]
                 return cls(x=tuple(coords[:-1]), t=coords[-1])
-        except (TypeError, ValueError):
+        except ValueError:
             pass
         raise ValueError(
             f"{key} must be a list [x..., t] of at least two finite numbers, got {data!r}"

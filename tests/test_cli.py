@@ -53,6 +53,17 @@ def test_chsh_deterministic_all(capsys):
     assert all(abs(r["value"]) == 2.0 for r in rows)
 
 
+@pytest.mark.parametrize("value", ["16", "-1", "3.0", "abc"])
+def test_chsh_deterministic_takes_all_or_a_strategy_id(capsys, value):
+    # 16 used to end in an IndexError traceback and -1 to report strategy 15
+    with pytest.raises(SystemExit) as exc:
+        main(["chsh", "--deterministic", value, "--format", "json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--deterministic" in captured.err and "0..15" in captured.err
+    assert not captured.out
+
+
 def test_chsh_box_file(tmp_path, capsys):
     path = write_json(tmp_path / "box.json", builtin_box("superquantum-eq2").to_json())
     code, report = run_json(capsys, "chsh", "--box", path)
@@ -215,6 +226,9 @@ def test_chsh_optimize_output_at_bound_is_unchanged(tmp_path, capsys):
     ({"kind": "table"}, "'thetas'"),
     ([], "'kind'"),
     ({"kind": "classical", "strategy": "q"}, "'strategy'"),
+    ({"kind": "classical", "strategy": 3.7}, "'strategy'"),
+    ({"kind": "classical", "strategy": True}, "'strategy'"),
+    ({"kind": "classical", "strategy": "7"}, "'strategy'"),
 ])
 def test_chsh_bad_model_file_is_input_error(tmp_path, capsys, spec, key):
     path = write_json(tmp_path / "m.json", spec)
@@ -374,6 +388,11 @@ def test_jam_config_without_jammer_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("cfg,key", [
     ({"a": 5, "b": [1.0, 0.0], "j": [0.0, -0.5]}, "'a'"),
     ({"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.0, -0.5], "d": "x"}, "'d'"),
+    # d = 1.7, true and "1" used to pass as d = 1
+    ({"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.0, -0.5], "d": 1.7}, "'d'"),
+    ({"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.0, -0.5], "d": True}, "'d'"),
+    ({"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.0, -0.5], "d": "1"}, "'d'"),
+    ({"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [True, False]}, "'j'"),
 ])
 def test_jam_config_with_bad_key_is_input_error(tmp_path, capsys, cfg, key):
     path = write_json(tmp_path / "cfg.json", cfg)
@@ -387,6 +406,8 @@ def test_jam_config_with_bad_key_is_input_error(tmp_path, capsys, cfg, key):
     (("jam", "--scenario"), {"a": 5}),
     (("boost", "--v", "0.1", "--events"), 5),
     (("boost", "--v", "0.1", "--events"), [[0.0, 0.0], [1.0]]),
+    (("boost", "--v", "0.1", "--events"), [["1", "2e0"], [3.0, 0.0]]),
+    (("jam", "--scenario"), [{"a": ["-1", "0"], "b": [1.0, 0.0], "j": [0.0, -0.5]}]),
 ])
 def test_non_list_json_is_input_error(tmp_path, capsys, args, payload):
     path = write_json(tmp_path / "in.json", payload)
@@ -626,3 +647,64 @@ def test_geometry_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys, 
     if "--csv" in args:
         out += (tmp_path / "sweep.csv").read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of stdout in JSON and in text format, with the exit code, for each
+# kind of report the CLI writes: recorded while every report dataclass still
+# had a hand-written to_json method, and unchanged since.
+_REPORT_DIGESTS = [
+    (["nosig", "--builtin", "singlet-optimal"], 0,
+     "edf8bd25ba8e80052f35503c27d9ec84bf6449869f5321bb1028c51403d52956",
+     "74ae988379c05b7bb088ffd8aa8e886bbae34622c757dc3273901fc33a9221bd"),
+    (["nosig", "--box", "sig.json"], 1,
+     "7d66a7b2ccfb3c8601b86c48d17b6f6dd948f03910d24709fbc790487889228f",
+     "24eac4021ae7c0bd252e733bb131418b4aa5fc96928b4d102e49d8d58a810982"),
+    (["jam", "--builtin", "superquantum-eq2", "--strength", "0.5"], 0,
+     "75f691591e2c1d37fadde61de0d76ebd4c45a7512b47027119c302b0a66527a5",
+     "893c1e177cf0d512862ec46b080f86fe1750b741d53b6d28c196f90aecbf0aa1"),
+    (["sample", "--builtin", "superquantum-eq2", "--n", "100", "--seed", "3"], 0,
+     "a9a5162991927aa1e2707be04ff6c09ef61d8e831e0afaf60c78fe2da3584968",
+     "625328289e2eeae3d85556a2cdefa77e812485de39bc2baf73c89ef8a896bd03"),
+    (["jam", "--config", "fail1.json"], 1,
+     "bf4e885a6d5f662d4418556904966dcd6f7afb9a1844d4da19c85616de3c9cab",
+     "830fcba0232fcb59a9f5bbb642b132f92739e11dc33b85542297b033ad1d278e"),
+    (["jam", "--config", "fail2.json"], 1,
+     "3387a0701be10010c3c3cf6b945d9ac6bd1f9832bbc8e3e1dff8b047fb95f620",
+     "c0a12a43567570ae0b8709a8019fee4f502ac1aac9a3db90a889722214976222"),
+    (["jam", "--config", "invalid.json"], 1,
+     "e7ea20ce7b8e54d906cd3b839b7f883d238df4f16998c0a2f05cf8098cab24ff",
+     "23bd7ada814c846b84be59c0bb6d9a801fd5fdb98412484cca183608e26717f5"),
+    (["jam", "--latest", "--d", "1"], 0,
+     "e06060841903724ea494bea86761f0216b86573967b3afdf581424814c278f41",
+     "9fe9ed941c12971d34d14c815a73f33b1e4765785026dcc43bbdbcce96ca511d"),
+    (["jam", "--scenario", "sc.json"], 0,
+     "5330ed54d7ae0e6fdc6abf892c3c42f8f0c80ab3432d6a7395085a0c28cc4b45",
+     "b200dad60857bbbef37ae0886bbdc5db6d11c27ba475644d10ea91b6208b5cf7"),
+    (["chsh", "--deterministic", "all"], 0,
+     "d42348f0966f59d7f11fab3729ba4299dfb70705f1020ee14b3c6a170eab73ea",
+     "ed11f209324bd787071b379dcf7905c55e905d52742277d162de54c68c00d6cf"),
+]
+
+
+@pytest.mark.parametrize("args,code,json_digest,text_digest", _REPORT_DIGESTS,
+                         ids=[" ".join(a[0]) for a in _REPORT_DIGESTS])
+def test_report_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys, args, code,
+                                               json_digest, text_digest):
+    monkeypatch.chdir(tmp_path)
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[0, 0] = [[0.45, 0.45], [0.05, 0.05]]
+    write_json(tmp_path / "sig.json", {"P": probs.tolist()})
+    # d = 1 and d = 2 configurations that fail with a witness, and one whose
+    # jammer is timelike to a
+    write_json(tmp_path / "fail1.json", {"a": [0.0, 0.0], "b": [2.0, 0.5], "j": [5.0, 1.0], "d": 1})
+    write_json(tmp_path / "fail2.json",
+               {"a": [-1.0, 0.0, 0.0], "b": [1.0, 0.0, 0.0], "j": [0.0, 0.75, -0.5], "d": 2})
+    write_json(tmp_path / "invalid.json", {"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.0, 1.5]})
+    write_json(tmp_path / "sc.json", [
+        {"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [10.0, 5.0]},
+        {"a": [9.0, 8.0], "b": [11.0, 8.0], "j": [0.0, 4.0]},
+    ])
+    for fmt, digest in (("json", json_digest), ("text", text_digest)):
+        got, out, err = run_cli(capsys, *args, "--format", fmt)
+        assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt

@@ -191,6 +191,11 @@ def test_correlation_array_rejects_nonfinite(bad):
     ({"kind": "classical", "strategy": "q"}, "'strategy'"),
     ({"kind": "classical", "strategy": 16}, "'strategy'"),
     ({"kind": "table", "thetas": "abc", "values": [1.0]}, "'thetas'"),
+    # 3.7, true and "7" used to load strategies 3, 1 and 7
+    ({"kind": "classical", "strategy": 3.7}, "'strategy' must be an integer"),
+    ({"kind": "classical", "strategy": True}, "'strategy' must be an integer"),
+    ({"kind": "classical", "strategy": "7"}, "'strategy' must be an integer"),
+    ({"kind": "classical", "strategy": math.inf}, "'strategy' must be an integer"),
 ])
 def test_model_from_json_names_bad_key(data, key):
     with pytest.raises(ValueError, match=key):
@@ -205,6 +210,7 @@ def test_model_json_roundtrip():
             assert clone.correlation(theta) == pytest.approx(
                 model.correlation(theta), abs=1e-12
             )
+    assert model_from_json({"kind": "classical", "strategy": 9.0}).strategy_id == 9
 
 
 # --------------------------------------------------------------------- boxes

@@ -88,6 +88,16 @@ def test_configuration_json_roundtrip():
         JammingConfiguration.from_json(data)
 
 
+@pytest.mark.parametrize("d", [1.7, True, "1", None, 1e300])
+def test_configuration_json_d_must_be_an_integer(d):
+    # 1.7, true and "1" used to pass as d = 1
+    data = {"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.0, 0.5], "d": d}
+    with pytest.raises(ValueError, match="configuration key 'd'"):
+        JammingConfiguration.from_json(data)
+    data["d"] = 1.0
+    assert JammingConfiguration.from_json(data).d == 1
+
+
 # --------------------------------------------------------- binary condition
 
 

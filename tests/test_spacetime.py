@@ -414,9 +414,13 @@ def test_event_json_roundtrip():
     e = Event((1.5, -2.0), 0.25)
     assert Event.from_json(e.to_json()) == e
     assert e.to_json() == [1.5, -2.0, 0.25]
+    assert Event.from_json([1, 2]) == Event((1.0,), 2.0)
 
 
-@pytest.mark.parametrize("data", [5, [1.0], [1.0, "t"], "12", [1.0, math.nan], {"x": 1}])
+# [true, false] and ["1", "2e0"] used to load as events, and 10**400 to
+# escape as OverflowError
+@pytest.mark.parametrize("data", [5, [1.0], [1.0, "t"], "12", [1.0, math.nan], {"x": 1},
+                                  [True, False], ["1", "2e0"], [1, 10**400]])
 def test_event_from_json_names_bad_key(data):
     with pytest.raises(ValueError, match="key 'j' must be a list"):
         Event.from_json(data, key="key 'j'")
