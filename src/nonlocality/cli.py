@@ -9,6 +9,12 @@ dataclass, ``results`` holds its fields in declaration order (the text line
 order), with tuples written as lists and events as ``[x..., t]``. Exit
 codes: 0 on success, 1 when a checked claim fails (a verdict is false), 2
 on input errors.
+
+Only the subcommands that work on boxes or correlation models import
+``correlations``, and with it numpy: ``chsh``, ``nosig``, ``sample`` and
+``jam --box/--builtin``. The geometry subcommands (``jam --config``,
+``--latest``, ``--sweep`` and ``--scenario``, and ``boost``) run on the
+standard library alone, which keeps their cold start short.
 """
 
 from __future__ import annotations
@@ -21,9 +27,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from . import correlations as corr
 from . import jamming as jam
 from . import spacetime as st
 
@@ -50,6 +53,23 @@ def _parse_sweep_range(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``numpy.linspace(lo, hi, n).tolist()`` bit for bit, in plain floats:
+    the same operations in the same order (k*step + lo, the last point set
+    to hi, and (k/(n-1))*(hi - lo) + lo when the step underflows to 0)."""
+    delta = hi - lo
+    if n <= 1:
+        return [0.0 * delta + lo] * n
+    div = n - 1
+    step = delta / div
+    if step == 0:
+        values = [k / div * delta + lo for k in range(n)]
+    else:
+        values = [k * step + lo for k in range(n)]
+    values[-1] = hi
+    return values
+
+
 def _parse_tol(text: str) -> float:
     """``--tol``: a finite number > 0."""
     try:
@@ -70,6 +90,8 @@ def _parse_deterministic(text: str) -> str:
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
+    from . import correlations as corr
+
     if text in corr.ANGLE_PRESETS:
         return corr.ANGLE_PRESETS[text]
     values = _parse_floats(text)
@@ -86,7 +108,9 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_box(args) -> corr.NoSignallingBox:
+def _load_box(args):
+    from . import correlations as corr
+
     if getattr(args, "box", None):
         return corr.NoSignallingBox.from_json(_load_json(args.box))
     if getattr(args, "builtin", None):
@@ -94,7 +118,9 @@ def _load_box(args) -> corr.NoSignallingBox:
     raise ValueError("provide --box FILE or --builtin NAME")
 
 
-def _model_from_args(args) -> corr.CorrelationModel:
+def _model_from_args(args):
+    from . import correlations as corr
+
     if getattr(args, "model_file", None):
         return corr.model_from_json(_load_json(args.model_file))
     if getattr(args, "model", None):
@@ -142,11 +168,15 @@ def _jsonable(value):
 # turns the report objects in them into JSON data with _jsonable
 
 
-def _chsh_results(res: corr.ChshResult) -> dict:
+def _chsh_results(res) -> dict:
+    from . import correlations as corr
+
     return {"value": res.value, "terms": res.terms, "classification": corr.classify_chsh(res.value)}
 
 
 def _cmd_chsh(args):
+    from . import correlations as corr
+
     params = {"tol": corr.PROB_TOL}
     if args.deterministic is not None:
         strategies = corr.enumerate_deterministic()
@@ -178,9 +208,9 @@ def _cmd_chsh(args):
     if args.curve is not None:
         if not args.csv:
             raise ValueError("--curve requires --csv PATH")
-        thetas = np.linspace(0.0, math.pi, args.curve)
+        thetas = _linspace(0.0, math.pi, args.curve)
         values = model.correlation_array(thetas)
-        rows = [[f"{t:.12g}", f"{v:.12g}"] for t, v in zip(thetas.tolist(), values.tolist())]
+        rows = [[f"{t:.12g}", f"{v:.12g}"] for t, v in zip(thetas, values.tolist())]
         n = _write_csv(args.csv, ["theta", "correlation"], rows)
         params["curve_points"] = args.curve
         return {"csv": args.csv, "rows": n}, params, True
@@ -201,9 +231,12 @@ def _cmd_chsh(args):
 
 
 def _cmd_nosig(args):
+    from . import correlations as corr
+
+    tol = corr.PROB_TOL if args.tol is None else args.tol
     box = _load_box(args)
-    report = corr.check_no_signalling(box, tol=args.tol)
-    params = {"box": args.box or args.builtin, "tol": args.tol}
+    report = corr.check_no_signalling(box, tol=tol)
+    params = {"box": args.box or args.builtin, "tol": tol}
     return report, params, report.passed
 
 
@@ -224,7 +257,7 @@ def _cmd_jam(args):
         a = st.Event((-1.0,) + (0.0,) * (d - 1), 0.0)
         b = st.Event((+1.0,) + (0.0,) * (d - 1), 0.0)
         rows = []
-        for jt in np.linspace(lo, hi, n):
+        for jt in _linspace(lo, hi, n):
             cfg = jam.JammingConfiguration(a=a, b=b, j=st.Event(position, jt))
             valid = jam.validate_configuration(cfg, tol=tol).valid
             if valid:
@@ -249,9 +282,11 @@ def _cmd_jam(args):
         verdict = jam.binary_condition(cfg, tol=tol)
         return {"validation": validation, "binary": verdict}, params, verdict.holds
     if args.box or args.builtin:
+        from . import correlations as corr
+
         box = _load_box(args)
-        jammed = jam.apply_jamming(box, strength=args.strength)
-        unary = jam.check_unary(box, jammed)
+        jammed = corr.apply_jamming(box, strength=args.strength)
+        unary = corr.check_unary(box, jammed)
         params.update({"box": args.box or args.builtin, "strength": args.strength})
         results = {
             "chsh_before": corr.chsh(box).value,
@@ -287,6 +322,10 @@ def _cmd_boost(args):
 
 
 def _cmd_sample(args):
+    import numpy as np
+
+    from . import correlations as corr
+
     if args.model or args.model_file:
         model = _model_from_args(args)
         angles = _parse_angles(args.angles or "eq2")
@@ -329,15 +368,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deterministic", type=_parse_deterministic,
                    help="'all' or a strategy id 0..15")
     p.add_argument("--box", help="box JSON file")
-    p.add_argument("--builtin", help=f"one of {sorted(corr.BUILTIN_BOXES)}")
+    p.add_argument("--builtin", help="a builtin box name")
     p.add_argument("--curve", type=int, help="emit an E(theta) curve with N points")
     p.add_argument("--csv", help="CSV output path for --curve")
     common(p)
 
     p = sub.add_parser("nosig", help="no-signalling check of a box")
     p.add_argument("--box", help="box JSON file")
-    p.add_argument("--builtin", help=f"one of {sorted(corr.BUILTIN_BOXES)}")
-    p.add_argument("--tol", type=_parse_tol, default=corr.PROB_TOL,
+    p.add_argument("--builtin", help="a builtin box name")
+    p.add_argument("--tol", type=_parse_tol, default=None,
                    help="probability tolerance, a finite number > 0")
     common(p)
 
@@ -356,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="CSV output path for --sweep")
     p.add_argument("--scenario", help="multi-jammer scenario JSON file")
     p.add_argument("--box", help="box JSON file to jam")
-    p.add_argument("--builtin", help=f"one of {sorted(corr.BUILTIN_BOXES)}")
+    p.add_argument("--builtin", help="a builtin box name")
     p.add_argument("--strength", type=float, default=1.0, help="jamming strength in [0, 1]")
     p.add_argument("--tol", type=_parse_tol, default=None, help="geometric tolerance, a finite number > 0")
     common(p)
@@ -374,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="finite-statistics CHSH estimate from a box")
     p.add_argument("--box", help="box JSON file")
-    p.add_argument("--builtin", help=f"one of {sorted(corr.BUILTIN_BOXES)}")
+    p.add_argument("--builtin", help="a builtin box name")
     p.add_argument("--model", help="build the box from a model at --angles")
     p.add_argument("--model-file")
     p.add_argument("--angles", help="preset name or a,a',b,b'")

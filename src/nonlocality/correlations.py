@@ -42,6 +42,18 @@ def reduce_angle(theta: float) -> float:
     return t
 
 
+def _json_numbers(data, name: str, shape: tuple) -> list:
+    """``data`` as nested lists of floats of the given shape (``None``: any
+    length), each number read by ``_json_number`` under its key, such as
+    ``'P'[0][1][0][0]``. ``ValueError`` names the first bad key."""
+    if not shape:
+        return _json_number(data, name)
+    if not isinstance(data, list) or shape[0] not in (None, len(data)):
+        size = "a list" if shape[0] is None else f"a list of {shape[0]} items"
+        raise ValueError(f"{name} must be {size}, got {data!r}")
+    return [_json_numbers(item, f"{name}[{i}]", shape[1:]) for i, item in enumerate(data)]
+
+
 class NoSignallingBox:
     """Joint outcome table P(a, b | x, y), indexed probs[x, y, ia, ib].
 
@@ -89,7 +101,7 @@ class NoSignallingBox:
     def from_json(cls, data) -> "NoSignallingBox":
         if not isinstance(data, dict) or "P" not in data:
             raise ValueError("box JSON must be an object with key 'P'")
-        return cls(data["P"])
+        return cls(_json_numbers(data["P"], "box JSON key 'P'", (2, 2, 2, 2)))
 
     def __repr__(self):
         e = self.correlations()
@@ -149,6 +161,54 @@ def check_no_signalling(box: NoSignallingBox, tol: float = PROB_TOL) -> NoSignal
     for y in (0, 1):
         dev = max(dev, float(np.max(np.abs(box.marginal_b(0, y) - box.marginal_b(1, y)))))
     return NoSignallingReport(passed=dev <= tol, max_deviation=dev, tol=tol)
+
+
+# --------------------------------------------------------------------------
+# Jamming acting on boxes (the unary condition; the geometry of jamming is
+# in ``jamming``)
+
+
+def apply_jamming(box: NoSignallingBox, strength: float = 1.0) -> NoSignallingBox:
+    """Replace correlations by the product of the single-party marginals.
+
+    Marginals are preserved exactly per setting pair, so the unary condition
+    holds by construction, and the fully jammed box is a product box with
+    |CHSH| <= 2. ``strength`` mixes the jammed box with the original
+    (1 = full jamming). The jammer gets no access to outcomes, so selective
+    jamming is impossible by construction.
+    """
+    if not 0.0 <= strength <= 1.0:
+        raise ValueError(f"strength must lie in [0, 1], got {strength}")
+    probs = np.empty((2, 2, 2, 2))
+    for x in (0, 1):
+        for y in (0, 1):
+            probs[x, y] = np.outer(box.marginal_a(x, y), box.marginal_b(x, y))
+    mixed = strength * probs + (1.0 - strength) * box.probs
+    return NoSignallingBox(mixed)
+
+
+@dataclass(frozen=True)
+class UnaryReport:
+    holds: bool
+    max_deviation: float
+    tol: float
+
+
+def check_unary(
+    original: NoSignallingBox, jammed: NoSignallingBox, tol: float = PROB_TOL
+) -> UnaryReport:
+    """No single-party statistic may reveal jamming: compare all marginals."""
+    tol = _resolve_tol(tol)
+    dev = 0.0
+    for x in (0, 1):
+        for y in (0, 1):
+            dev = max(dev, float(np.max(np.abs(original.marginal_a(x, y) - jammed.marginal_a(x, y)))))
+            dev = max(dev, float(np.max(np.abs(original.marginal_b(x, y) - jammed.marginal_b(x, y)))))
+    return UnaryReport(holds=dev <= tol, max_deviation=dev, tol=tol)
+
+
+# --------------------------------------------------------------------------
+# CHSH
 
 
 @dataclass(frozen=True)
@@ -283,9 +343,9 @@ class DeterministicModel(CorrelationModel):
     kind = "classical"
 
     def __init__(self, strategy_id: int):
-        if not 0 <= int(strategy_id) <= 15:
+        self.strategy_id = _json_number(strategy_id, "strategy id", integer=True)
+        if not 0 <= self.strategy_id <= 15:
             raise ValueError(f"strategy id must be in 0..15, got {strategy_id}")
-        self.strategy_id = int(strategy_id)
         bits = [(self.strategy_id >> k) & 1 for k in (3, 2, 1, 0)]
         self.alice = (OUTCOMES[bits[0]], OUTCOMES[bits[1]])
         self.bob = (OUTCOMES[bits[2]], OUTCOMES[bits[3]])
@@ -374,9 +434,11 @@ def model_from_json(data) -> CorrelationModel:
             raise ValueError(
                 f"classical model key 'strategy' must be an integer 0..15, got {data['strategy']!r}"
             ) from None
+    thetas, values = (_json_numbers(data[key], f"table model key {key!r}", (None,))
+                      for key in ("thetas", "values"))
     try:
-        return TableModel(data["thetas"], data["values"])
-    except (TypeError, ValueError) as exc:
+        return TableModel(thetas, values)
+    except ValueError as exc:
         raise ValueError(f"table model keys 'thetas' and 'values': {exc}") from None
 
 

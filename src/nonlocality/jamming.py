@@ -5,7 +5,8 @@ measurement events a and b, and a jammer event j that destroys the
 correlations between them. Causality imposes two constraints:
 
 * unary: jamming must leave each party's local statistics untouched, so
-  no one-party record reveals whether the jammer acted;
+  no one-party record reveals whether the jammer acted (a statement about
+  boxes: ``correlations.apply_jamming`` and ``correlations.check_unary``);
 * binary: the overlap of the forward light cones of a and b, the only
   region where the two records can be compared, must lie entirely within
   the forward light cone of j, so a light signal from j can reach every
@@ -35,9 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .correlations import PROB_TOL, NoSignallingBox
 from .spacetime import (
     FUTURE,
     NULL,
@@ -272,49 +270,6 @@ def latest_jammer_time(d: int, position=None, tol: float | None = None) -> Lates
 
 
 # --------------------------------------------------------------------------
-# Action on boxes
-
-
-def apply_jamming(box: NoSignallingBox, strength: float = 1.0) -> NoSignallingBox:
-    """Replace correlations by the product of the single-party marginals.
-
-    Marginals are preserved exactly per setting pair, so the unary condition
-    holds by construction, and the fully jammed box is a product box with
-    |CHSH| <= 2. ``strength`` mixes the jammed box with the original
-    (1 = full jamming). The jammer gets no access to outcomes, so selective
-    jamming is impossible by construction.
-    """
-    if not 0.0 <= strength <= 1.0:
-        raise ValueError(f"strength must lie in [0, 1], got {strength}")
-    probs = np.empty((2, 2, 2, 2))
-    for x in (0, 1):
-        for y in (0, 1):
-            probs[x, y] = np.outer(box.marginal_a(x, y), box.marginal_b(x, y))
-    mixed = strength * probs + (1.0 - strength) * box.probs
-    return NoSignallingBox(mixed)
-
-
-@dataclass(frozen=True)
-class UnaryReport:
-    holds: bool
-    max_deviation: float
-    tol: float
-
-
-def check_unary(
-    original: NoSignallingBox, jammed: NoSignallingBox, tol: float = PROB_TOL
-) -> UnaryReport:
-    """No single-party statistic may reveal jamming: compare all marginals."""
-    tol = _resolve_tol(tol)
-    dev = 0.0
-    for x in (0, 1):
-        for y in (0, 1):
-            dev = max(dev, float(np.max(np.abs(original.marginal_a(x, y) - jammed.marginal_a(x, y)))))
-            dev = max(dev, float(np.max(np.abs(original.marginal_b(x, y) - jammed.marginal_b(x, y)))))
-    return UnaryReport(holds=dev <= tol, max_deviation=dev, tol=tol)
-
-
-# --------------------------------------------------------------------------
 # Multi-jammer scenarios
 
 
@@ -426,3 +381,18 @@ def detect_causal_loops(scenario: JamScenario, tol: float | None = None) -> Loop
         adj[i].append(k)
     cycle = _find_cycle(n, adj)
     return LoopReport(acyclic=cycle is None, cycle=cycle, edges=tuple(edges))
+
+
+# The action on boxes lives in ``correlations``, beside the box code, so
+# this module imports no numpy. These names still resolve here (PEP 562),
+# importing ``correlations`` on first use and kept here after it.
+_BOX_NAMES = frozenset({"apply_jamming", "check_unary", "UnaryReport"})
+
+
+def __getattr__(name):
+    if name not in _BOX_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import correlations
+
+    value = globals()[name] = getattr(correlations, name)
+    return value

@@ -64,7 +64,8 @@ def _json_number(value, name: str, integer: bool = False):
     """``value`` as a float, or an int if ``integer``; ``ValueError`` naming
     ``name`` unless it is a finite real number (not a bool or a string), and
     integral if ``integer``. The package's one rule for numbers read from
-    JSON: event coordinates, configuration ``'d'``, model ``'strategy'``."""
+    JSON (event coordinates, configuration ``'d'``, box ``'P'``, model
+    ``'strategy'``, ``'thetas'`` and ``'values'``) and for strategy ids."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = float(value)

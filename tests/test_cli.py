@@ -1,13 +1,20 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nonlocality
 from nonlocality import box_from_correlation, builtin_box, product_box
 from nonlocality import correlations as corr
-from nonlocality.cli import main
+from nonlocality.cli import _linspace, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *args):
@@ -450,6 +457,50 @@ def test_jam_sweep_range_malformed_is_input_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lo,hi,n", [
+    (-1.5, 1.5, 121),  # the default --sweep-range
+    (-1.2, 1.2, 13),
+    (0.0, 1.0, 0),
+    (0.3, 0.7, 1),
+    (0.5, 0.5, 4),
+    (-0.0, -0.0, 3),
+    (1.0, -1.0, 7),
+    (0.0, 1e-300, 5),
+    (-1e-300, 1e-300, 4),
+    (5e-324, 0.0, 3),
+    (0.0, 1.5e-323, 8),  # the step underflows to 0: numpy scales k/(n-1) instead
+    (1.0, 1.0 + 2.0**-52, 9),
+])
+def test_linspace_matches_numpy_bit_for_bit(lo, hi, n):
+    want = [x.hex() for x in np.linspace(lo, hi, n).tolist()]
+    assert [x.hex() for x in _linspace(lo, hi, n)] == want
+
+
+def test_linspace_matches_numpy_on_random_ranges(rng):
+    for _ in range(2000):
+        lo, hi = (float(v) * 10.0 ** int(rng.integers(-8, 9)) for v in rng.uniform(-1, 1, 2))
+        if rng.random() < 0.2:
+            hi = lo + float(rng.uniform(-1, 1)) * 10.0 ** int(rng.integers(-320, -290))
+        n = int(rng.integers(0, 300))
+        want = [x.hex() for x in np.linspace(lo, hi, n).tolist()]
+        assert [x.hex() for x in _linspace(lo, hi, n)] == want, (lo, hi, n)
+
+
+@pytest.mark.parametrize("args,digest", [
+    ([], "74449acaa39f757c8db43254ff619d556524cfbc1fb5d6e01538229dd46fad5a"),
+    (["--sweep-range", "-1.2,1.2,13"],
+     "98aa30ac25f6c01e1ccedcf7c3e143f8d36e9e4fb2f78d33b19731403a822a62"),
+    (["--d", "2", "--position", "0.1,-0.3", "--sweep-range", "-0.9,0.35,26"],
+     "f0e41b8bb01a683b1f87792757a41411afe8d34717340c447d02791e28eea74d"),
+])
+def test_jam_sweep_csv_bytes_are_unchanged(tmp_path, capsys, args, digest):
+    # SHA-256 of the CSV recorded while the sweep still ran on numpy.linspace
+    out = tmp_path / "sweep.csv"
+    code, _ = run_json(capsys, "jam", "--sweep", *args, "--csv", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # -------------------------------------------------------------------- boost
 
 
@@ -590,6 +641,25 @@ def test_box_that_is_not_an_object_is_input_error(tmp_path, capsys, payload):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("args,payload,key", [
+    # these used to load: a string probability as a number, and table
+    # points [false, "1", 3] as thetas [0, 1, 3]
+    (("nosig", "--box"), {"P": [[[["0.25", 0.25], [0.25, 0.25]]] * 2] * 2}, "'P'[0][0][0][0]"),
+    (("jam", "--box"), {"P": [[[[0.25, 0.25], [0.25, 0.25]]] * 2, [[[0.25, 0.25], [0.25, True]]] * 2]},
+     "'P'[1][0][1][1]"),
+    (("chsh", "--model-file"), {"kind": "table", "thetas": [False, "1", 3], "values": [1, 0, -1]},
+     "'thetas'[0]"),
+    (("sample", "--n", "10", "--model-file"),
+     {"kind": "table", "thetas": [0, 1, 3], "values": [1, "0.5", -1]}, "'values'[1]"),
+])
+def test_json_number_that_is_not_a_number_is_input_error(tmp_path, capsys, args, payload, key):
+    path = write_json(tmp_path / "in.json", payload)
+    code, out, err = run_cli(capsys, *args, path)
+    assert code == 2
+    assert f"{key} must be a finite number" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_bad_angles_is_input_error(capsys):
     code, out, err = run_cli(capsys, "chsh", "--model", "singlet", "--angles", "1,2")
     assert code == 2
@@ -708,3 +778,98 @@ def test_report_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys, ar
         got, out, err = run_cli(capsys, *args, "--format", fmt)
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# The geometry subcommands, and every subcommand's --help, run without numpy:
+# the script runs them through main() with numpy importable or blocked, and
+# reports each exit code and stdout, the sweep CSV and the modules loaded.
+_GEOMETRY_COMMANDS = [
+    ["jam", "--latest", "--d", "2", "--position", "0.3,0.4"],
+    ["jam", "--latest", "--d", "1", "--format", "json"],
+    ["jam", "--sweep", "--d", "2", "--sweep-range", "-1.5,0.5,9", "--csv", "sweep.csv"],
+    ["jam", "--config", "cfg.json", "--format", "json"],
+    ["jam", "--scenario", "sc.json"],
+    ["boost", "--events", "ev.json", "--orderings", "--format", "json"],
+    ["boost", "--events", "ev.json", "--v", "-0.3,0.2"],
+] + [[command, "--help"] for command in ("chsh", "nosig", "jam", "boost", "sample")]
+
+_RUN_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # any numpy import now raises ImportError
+import nonlocality
+assert sys.modules.get("numpy") is None
+from nonlocality.cli import main
+runs = []
+for args in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    runs.append([code, out.getvalue()])
+loaded = [name for name in ("numpy", "nonlocality.correlations") if sys.modules.get(name)]
+with open("sweep.csv") as fh:
+    print(json.dumps({"runs": runs, "csv": fh.read(), "loaded": loaded}))
+"""
+
+
+def test_geometry_subcommands_run_without_numpy(tmp_path):
+    reports = {}
+    for mode in ("blocked", "importable"):
+        workdir = tmp_path / mode
+        workdir.mkdir()
+        write_json(workdir / "cfg.json", {"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.3, 0.2]})
+        write_json(workdir / "sc.json", [
+            {"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [10.0, 5.0]},
+            {"a": [9.0, 8.0], "b": [11.0, 8.0], "j": [0.0, 4.0]},
+        ])
+        write_json(workdir / "ev.json", [[-2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [3.0, -0.5, -0.1]])
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_WITHOUT_NUMPY, mode, json.dumps(_GEOMETRY_COMMANDS)],
+            cwd=workdir, capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports[mode] = json.loads(proc.stdout)
+    blocked, importable = reports["blocked"], reports["importable"]
+    assert [code for code, _ in blocked["runs"]] == [0] * len(_GEOMETRY_COMMANDS)
+    assert blocked == importable
+    assert importable["loaded"] == []
+
+
+_LAZY_EXPORTS = """
+import sys
+import nonlocality
+assert "numpy" not in sys.modules and "nonlocality.jamming" not in sys.modules
+assert {"Event", "apply_jamming", "correlations"} <= set(dir(nonlocality))
+from nonlocality import jamming
+assert "numpy" not in sys.modules
+box = nonlocality.builtin_box("superquantum-eq2")
+from nonlocality import correlations
+assert nonlocality.apply_jamming is correlations.apply_jamming
+assert jamming.apply_jamming is correlations.apply_jamming
+assert jamming.check_unary is correlations.check_unary
+assert jamming.UnaryReport is correlations.UnaryReport
+assert jamming.check_unary(box, jamming.apply_jamming(box)).holds
+namespace = {}
+exec("from nonlocality import *", namespace)
+assert set(nonlocality.__all__) <= set(namespace)
+assert namespace["check_unary"] is correlations.check_unary
+assert namespace["spacetime"] is sys.modules["nonlocality.spacetime"]
+print("ok")
+"""
+
+
+def test_package_exports_resolve_lazily():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_EXPORTS], capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        nonlocality.nope
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        nonlocality.jamming.nope

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,37 @@ def test_model_json_roundtrip():
     assert model_from_json({"kind": "classical", "strategy": 9.0}).strategy_id == 9
 
 
+@pytest.mark.parametrize("thetas,values,key", [
+    # these used to load through numpy's float conversion: [false, "1", 3]
+    # read as thetas [0, 1, 3]
+    ([False, "1", 3], [1.0, 0.5, -1.0], "'thetas'[0] must be a finite number"),
+    ([0.0, "1", 3.0], [1.0, 0.5, -1.0], "'thetas'[1] must be a finite number"),
+    ([0.0, 1.0, 3.0], [1.0, True, -1.0], "'values'[1] must be a finite number"),
+    ([0.0, 1.0, 3.0], [1.0, "0.5", -1.0], "'values'[1] must be a finite number"),
+    ([0.0, [1.0], 3.0], [1.0, 0.5, -1.0], "'thetas'[1] must be a finite number"),
+    ([0.0, 1.0], None, "'values' must be a list"),
+])
+def test_table_model_json_numbers_are_json_numbers(thetas, values, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        model_from_json({"kind": "table", "thetas": thetas, "values": values})
+
+
+@pytest.mark.parametrize("strategy_id", [3.7, "7", True, False, None, math.nan, 2**2000])
+def test_deterministic_model_takes_integral_ids_only(strategy_id):
+    # 3.7, "7" and True used to give strategies 3, 7 and 1
+    with pytest.raises(ValueError, match="strategy id"):
+        DeterministicModel(strategy_id)
+
+
+def test_deterministic_model_takes_integral_floats_and_numpy_integers():
+    assert DeterministicModel(9.0).strategy_id == 9
+    assert DeterministicModel(np.float64(9.0)).strategy_id == 9
+    for kind in (np.int8, np.int64, np.uint16):
+        model = DeterministicModel(kind(6))
+        assert model.strategy_id == 6 and type(model.strategy_id) is int
+        assert model.to_json() == DeterministicModel(6).to_json()
+
+
 # --------------------------------------------------------------------- boxes
 
 
@@ -278,6 +310,31 @@ def test_correlation_lift_is_normalized_and_uniform(es):
             assert box.marginal_b(x, y)[0] == pytest.approx(0.5, abs=1e-12)
     report = check_no_signalling(box)
     assert report.passed and report.max_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("where,value", [
+    ((0, 0, 0, 0), "0.25"),
+    ((1, 0, 1, 1), True),
+    ((0, 1, 0, 1), None),
+    ((1, 1, 1, 0), [0.25]),
+])
+def test_box_json_numbers_are_json_numbers(where, value):
+    # {"P": [[[["0.25", ...]]]]} used to load as the uniform box
+    probs = np.full((2, 2, 2, 2), 0.25).tolist()
+    probs[where[0]][where[1]][where[2]][where[3]] = value
+    key = "'P'" + "".join(f"[{i}]" for i in where)
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be a finite number")):
+        NoSignallingBox.from_json({"P": probs})
+
+
+@pytest.mark.parametrize("probs,key", [
+    (np.full((2, 2), 0.5).tolist(), "'P'[0][0] must be a list of 2 items"),
+    (np.full((2, 2, 2, 3), 1 / 6).tolist(), "'P'[0][0][0] must be a list of 2 items"),
+    ("uniform", "'P' must be a list of 2 items"),
+])
+def test_box_json_shape_error_names_the_key(probs, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        NoSignallingBox.from_json({"P": probs})
 
 
 def test_box_json_roundtrip():
