@@ -68,23 +68,26 @@ class NoSignallingBox:
         arr = np.array(probs, dtype=float)
         if arr.shape != (2, 2, 2, 2):
             raise ValueError(f"box table must have shape (2,2,2,2), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("box probabilities must be finite")
-        if np.any(arr < -PROB_TOL):
+        if arr.min() < -PROB_TOL:
             raise ValueError("box has negative probabilities")
         sums = arr.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > PROB_TOL):
+        if np.abs(sums - 1.0).max() > PROB_TOL:
             raise ValueError(f"box not normalized per setting pair: sums {sums}")
-        arr = np.clip(arr, 0.0, None)
+        arr = arr.clip(0.0, None)
         arr.setflags(write=False)
         self.probs = arr
 
-    def correlation(self, x: int, y: int) -> float:
-        p = self.probs[x, y]
-        return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
-
     def correlations(self) -> np.ndarray:
-        return np.array([[self.correlation(x, y) for y in (0, 1)] for x in (0, 1)])
+        """E(x, y) for all four setting pairs, indexed [x, y]."""
+        p = self.probs
+        return p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
+
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's and Bob's outcome distributions (P(+1), P(-1)) for every
+        setting pair, each indexed [x, y, outcome]."""
+        return self.probs.sum(axis=3), self.probs.sum(axis=2)
 
     def marginal_a(self, x: int, y: int) -> np.ndarray:
         """Alice's outcome distribution (P(+1), P(-1)) for settings (x, y)."""
@@ -121,28 +124,20 @@ def box_from_correlation(e) -> NoSignallingBox:
         arr = np.full((2, 2), float(arr))
     if arr.shape != (2, 2):
         raise ValueError(f"need a scalar or 2x2 correlations, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"correlations must be finite, got {arr.tolist()}")
-    if np.any(np.abs(arr) > 1.0 + PROB_TOL):
+    if np.abs(arr).max() > 1.0 + PROB_TOL:
         raise ValueError(f"correlations must lie in [-1, 1], got {arr.tolist()}")
-    probs = np.empty((2, 2, 2, 2))
-    for x in (0, 1):
-        for y in (0, 1):
-            same = (1.0 + arr[x, y]) / 4.0
-            diff = (1.0 - arr[x, y]) / 4.0
-            probs[x, y] = [[same, diff], [diff, same]]
-    return NoSignallingBox(probs)
+    same = (1.0 + arr) / 4.0
+    diff = (1.0 - arr) / 4.0
+    return NoSignallingBox(np.stack([same, diff, diff, same], axis=-1).reshape(2, 2, 2, 2))
 
 
 def product_box(p_plus_a, p_plus_b) -> NoSignallingBox:
     """Uncorrelated box from per-setting P(outcome = +1) for each party."""
-    pa = [np.array([p, 1.0 - p]) for p in map(float, p_plus_a)]
-    pb = [np.array([p, 1.0 - p]) for p in map(float, p_plus_b)]
-    probs = np.empty((2, 2, 2, 2))
-    for x in (0, 1):
-        for y in (0, 1):
-            probs[x, y] = np.outer(pa[x], pb[y])
-    return NoSignallingBox(probs)
+    pa = np.array([[p, 1.0 - p] for p in map(float, p_plus_a)])
+    pb = np.array([[p, 1.0 - p] for p in map(float, p_plus_b)])
+    return NoSignallingBox(pa[:, None, :, None] * pb[None, :, None, :])
 
 
 @dataclass(frozen=True)
@@ -155,11 +150,8 @@ class NoSignallingReport:
 def check_no_signalling(box: NoSignallingBox, tol: float = PROB_TOL) -> NoSignallingReport:
     """Largest dependence of one party's marginals on the other's setting."""
     tol = _resolve_tol(tol)
-    dev = 0.0
-    for x in (0, 1):
-        dev = max(dev, float(np.max(np.abs(box.marginal_a(x, 0) - box.marginal_a(x, 1)))))
-    for y in (0, 1):
-        dev = max(dev, float(np.max(np.abs(box.marginal_b(0, y) - box.marginal_b(1, y)))))
+    pa, pb = box.marginals()
+    dev = max(float(np.abs(pa[:, 0] - pa[:, 1]).max()), float(np.abs(pb[0] - pb[1]).max()))
     return NoSignallingReport(passed=dev <= tol, max_deviation=dev, tol=tol)
 
 
@@ -179,10 +171,8 @@ def apply_jamming(box: NoSignallingBox, strength: float = 1.0) -> NoSignallingBo
     """
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"strength must lie in [0, 1], got {strength}")
-    probs = np.empty((2, 2, 2, 2))
-    for x in (0, 1):
-        for y in (0, 1):
-            probs[x, y] = np.outer(box.marginal_a(x, y), box.marginal_b(x, y))
+    pa, pb = box.marginals()
+    probs = pa[..., :, None] * pb[..., None, :]
     mixed = strength * probs + (1.0 - strength) * box.probs
     return NoSignallingBox(mixed)
 
@@ -199,11 +189,8 @@ def check_unary(
 ) -> UnaryReport:
     """No single-party statistic may reveal jamming: compare all marginals."""
     tol = _resolve_tol(tol)
-    dev = 0.0
-    for x in (0, 1):
-        for y in (0, 1):
-            dev = max(dev, float(np.max(np.abs(original.marginal_a(x, y) - jammed.marginal_a(x, y)))))
-            dev = max(dev, float(np.max(np.abs(original.marginal_b(x, y) - jammed.marginal_b(x, y)))))
+    (pa, pb), (qa, qb) = original.marginals(), jammed.marginals()
+    dev = max(float(np.abs(pa - qa).max()), float(np.abs(pb - qb).max()))
     return UnaryReport(holds=dev <= tol, max_deviation=dev, tol=tol)
 
 
@@ -221,10 +208,7 @@ class ChshResult:
 
 
 def chsh(box: NoSignallingBox) -> ChshResult:
-    e00 = box.correlation(0, 0)
-    e01 = box.correlation(0, 1)
-    e10 = box.correlation(1, 0)
-    e11 = box.correlation(1, 1)
+    (e00, e01), (e10, e11) = box.correlations().tolist()
     return ChshResult(value=e00 + e01 + e10 - e11, terms=(e00, e01, e10, e11))
 
 
@@ -520,12 +504,17 @@ class ChshOptimum:
     angles: tuple[float, float, float, float]
     value: float  # max |CHSH| found
     result: ChshResult  # signed breakdown at those angles
-    evaluations: int  # E(theta) points the search evaluated, array points included
+    evaluations: int  # E(theta) points the search evaluated, array points included;
+    # a refinement trial evaluates only the two terms its angle moves
 
 
 # Axis pairs (a, b), (a, b'), (a', b), (a', b') of the four CHSH terms, as
 # indices into the angle list [a, a', b, b'].
 _TERM_AXES = ((0, 2), (0, 3), (1, 2), (1, 3))
+# For each angle of [a, a', b, b']: the two terms that involve it, each as
+# (term index, index of the term's other angle).
+_MOVES = tuple(tuple((k, p + q - i) for k, (p, q) in enumerate(_TERM_AXES) if i in (p, q))
+               for i in range(4))
 
 
 def maximize_chsh(
@@ -539,65 +528,84 @@ def maximize_chsh(
 
     Per-coordinate exhaustive search at ``coarse_step``, then shrinking-step
     coordinate descent until the step drops below ``final_step``. Runs from
-    the known-good presets plus a few seeded random starts so custom models
-    are not at the mercy of a single basin. Raises ``ValueError`` unless
-    both steps are > 0.
+    the known-good presets plus ``extra_starts`` seeded random starts so
+    custom models are not at the mercy of a single basin. Raises
+    ``ValueError`` naming the argument unless both steps are finite and
+    > 0 and ``extra_starts`` is an integer >= 0.
 
     Once a start ends at |CHSH| >= 4, the algebraic bound, the remaining
     starts are skipped: with |E| <= 1 no start can beat it, so the result is
     the same as with all starts run. A start's own refinement always runs to
     the end, because its rejected trials may move an angle by an ulp.
 
-    Each coarse sweep evaluates the whole grid in one ``correlation_array``
-    call per varying term and keeps the first grid point of largest value if
-    it beats the current one, as a point-by-point scan with ``>`` would.
+    The search keeps the four terms of the current angles. Each coarse sweep
+    evaluates its two varying terms over the whole grid in one
+    ``_corr_array`` call and keeps the first grid point of largest value if
+    it beats the current one, as a point-by-point scan with ``>`` would. A
+    refinement trial evaluates only the two terms its angle moves; a
+    rejected trial sets the angle back to ``trial - delta`` and re-evaluates
+    those two terms only if that is an ulp off the old angle. Results are
+    those of evaluating all four terms at every point.
     """
     for name, step in (("coarse_step", coarse_step), ("final_step", final_step)):
-        if not step > 0.0:
+        if not _json_number(step, name) > 0.0:
             raise ValueError(f"{name} must be > 0, got {step}")
+    extra_starts = _json_number(extra_starts, "extra_starts", integer=True)
+    if extra_starts < 0:
+        raise ValueError(f"extra_starts must be >= 0, got {extra_starts}")
 
-    e = model.correlation
+    corr = model._corr
+    two_pi = 2.0 * math.pi
     evaluations = 0
 
-    def objective(a, a_prime, b, b_prime):
+    def fold(theta):
+        # reduce_angle without its checks: search angles are finite floats
+        t = math.fmod(abs(theta), two_pi)
+        return two_pi - t if t > math.pi else t
+
+    def all_terms(angles):
         nonlocal evaluations
         evaluations += 4
-        return abs(e(a - b) + e(a - b_prime) + e(a_prime - b) - e(a_prime - b_prime))
+        return [corr(fold(angles[p] - angles[q])) for p, q in _TERM_AXES]
 
-    def sweep(angles, i):
-        # |CHSH| with angle i set to each point of ``line``, the others fixed
+    def value(t):
+        # |CHSH| of four terms, scalars or arrays
+        return abs(t[0] + t[1] + t[2] - t[3])
+
+    def sweep(angles, terms, i):
+        # |CHSH| with angle i set to each point of ``line``, the others fixed,
+        # and the two varying terms; E is even, so both are E(line - partner)
         nonlocal evaluations
-        terms = []
-        for p, q in _TERM_AXES:
-            if i == p:
-                terms.append(model.correlation_array(line - angles[q]))
-            elif i == q:
-                terms.append(model.correlation_array(angles[p] - line))
-            else:
-                terms.append(e(angles[p] - angles[q]))
-        evaluations += 2 * line.size + 2
-        return np.abs(terms[0] + terms[1] + terms[2] - terms[3])
+        (k0, j0), (k1, j1) = _MOVES[i]
+        t = np.fmod(np.abs(line - np.array([[angles[j0]], [angles[j1]]])), two_pi)
+        varying = model._corr_array(np.where(t > math.pi, two_pi - t, t))
+        evaluations += varying.size
+        now = list(terms)
+        now[k0], now[k1] = varying
+        return value(now), varying
 
-    two_pi = 2.0 * math.pi
     starts = [ANGLE_PRESETS["eq2"], ANGLE_PRESETS["singlet-optimal"], (0.0,) * 4]
     rng = np.random.default_rng(seed)
-    starts += [tuple(rng.uniform(0.0, two_pi, size=4)) for _ in range(extra_starts)]
+    starts += [tuple(rng.uniform(0.0, two_pi, size=4).tolist()) for _ in range(extra_starts)]
 
     best_angles = starts[0]
-    best_val = objective(*best_angles)
+    best_val = value(all_terms(best_angles))
     line = np.arange(0.0, two_pi, coarse_step)
     for start in starts:
         angles = list(start)
-        val = objective(*angles)
+        terms = all_terms(angles)
+        val = value(terms)
         # coarse per-coordinate sweeps
         for _ in range(4):
             changed = False
             for i in range(4):
-                values = sweep(angles, i)
+                values, varying = sweep(angles, terms, i)
                 k = int(np.argmax(values))
                 if values[k] > val:
                     val = float(values[k])
                     angles[i] = float(line[k])
+                    (k0, _), (k1, _) = _MOVES[i]
+                    terms[k0], terms[k1] = varying[:, k].tolist()
                     changed = True
             if not changed:
                 break
@@ -606,15 +614,24 @@ def maximize_chsh(
         while step >= final_step:
             improved = False
             for i in range(4):
+                (k0, j0), (k1, j1) = _MOVES[i]
                 for delta in (step, -step):
-                    trial = angles[i] + delta
-                    angles[i] = trial
-                    v = objective(*angles)
+                    old = angles[i]
+                    trial = old + delta
+                    t = list(terms)
+                    t[k0] = corr(fold(trial - angles[j0]))
+                    t[k1] = corr(fold(trial - angles[j1]))
+                    evaluations += 2
+                    v = value(t)
                     if v > val:
-                        val = v
-                        improved = True
+                        val, terms, improved = v, t, True
+                        angles[i] = trial
                     else:
-                        angles[i] = trial - delta
+                        angles[i] = back = trial - delta
+                        if back != old:
+                            terms[k0] = corr(fold(back - angles[j0]))
+                            terms[k1] = corr(fold(back - angles[j1]))
+                            evaluations += 2
             if not improved:
                 step /= 2.0
         if val > best_val:
@@ -653,29 +670,26 @@ def sample_outcomes(box: NoSignallingBox, n: int, seed: int) -> SampleReport:
     platforms for a fixed seed. The standard error combines the binomial
     variance of each correlation term.
     """
+    n = _json_number(n, "n", integer=True)
     if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
+    seed = _json_number(seed, "seed", integer=True)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    counts = np.empty((2, 2, 2, 2), dtype=np.int64)
-    for x in (0, 1):
-        for y in (0, 1):
-            counts[x, y] = rng.multinomial(n, box.probs[x, y].ravel()).reshape(2, 2)
-    corr = np.empty((2, 2))
-    var = np.empty((2, 2))
-    for x in (0, 1):
-        for y in (0, 1):
-            c = counts[x, y]
-            p_same = (c[0, 0] + c[1, 1]) / n
-            corr[x, y] = 2.0 * p_same - 1.0
-            var[x, y] = 4.0 * p_same * (1.0 - p_same) / n
+    pairs = box.probs.reshape(4, 4)  # one row per setting pair (x, y), y fastest
+    counts = np.array([rng.multinomial(n, p) for p in pairs]).reshape(2, 2, 2, 2)
+    p_same = (counts[..., 0, 0] + counts[..., 1, 1]) / n
+    corr = 2.0 * p_same - 1.0
+    var = 4.0 * p_same * (1.0 - p_same) / n
     estimate = corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]
     return SampleReport(
-        n_per_pair=int(n),
-        seed=int(seed),
+        n_per_pair=n,
+        seed=seed,
         counts=tuple(
             tuple(tuple(map(tuple, counts[x, y].tolist())) for y in (0, 1)) for x in (0, 1)
         ),
-        correlations=tuple(tuple(corr[x].tolist()) for x in (0, 1)),
+        correlations=tuple(map(tuple, corr.tolist())),
         chsh_estimate=float(estimate),
         std_error=float(math.sqrt(var.sum())),
     )

@@ -616,6 +616,13 @@ def test_sample_rejects_zero(capsys):
     assert ">= 1" in err
 
 
+def test_sample_negative_seed_names_the_argument(capsys):
+    # numpy's own message, "expected non-negative integer", named no argument
+    code, out, err = run_cli(capsys, "sample", "--builtin", "uniform", "--n", "10", "--seed", "-1")
+    assert code == 2
+    assert "seed must be >= 0, got -1" in err
+
+
 # ------------------------------------------------------------------ general
 
 
@@ -777,6 +784,35 @@ def test_report_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys, ar
     for fmt, digest in (("json", json_digest), ("text", text_digest)):
         got, out, err = run_cli(capsys, *args, "--format", fmt)
         assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# SHA-256 of stdout in JSON and in text format of chsh --optimize on models
+# whose search runs every start, recorded while each refinement trial still
+# evaluated all four CHSH terms and the box checks still looped per setting.
+_OPTIMUM_DIGESTS = [
+    (["--model", "singlet"],
+     "f28acfd7fede2e43db3236ca63d6a37468eda16c578ca67264d3fffc94e3436b",
+     "63966ba3a76fcd3061fe8963b2dce69a14339f8cc8f42b86eef10705a7795bc4"),
+    (["--model", "classical:5"],
+     "2622090cca0e6f3a2b13b5248206f4accf010e81e38c5e379681d855d54e7ea0",
+     "6ec92c6296535388feb3d47dcb85f37407afb83c1db15fd008a59dbc021a4f8b"),
+    (["--model-file", "smooth.json"],
+     "8b8280875b1dd37ae5483efbb87d66e5f57c7b93433c74a55cf6a8f33ee941e2",
+     "b752da7fa6229338ebdedd1ee376e70fdf1f12cdc82921feef6611fd75a8b0a4"),
+]
+
+
+@pytest.mark.parametrize("args,json_digest,text_digest", _OPTIMUM_DIGESTS,
+                         ids=[a[1] for a, _, _ in _OPTIMUM_DIGESTS])
+def test_chsh_optimize_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys, args,
+                                                      json_digest, text_digest):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "smooth.json", {"kind": "table", "thetas": [0.0, 0.5, 1.2, 2.0, math.pi],
+                                          "values": [-1.0, -0.7, 0.1, 0.6, 1.0]})
+    for fmt, digest in (("json", json_digest), ("text", text_digest)):
+        code, out, err = run_cli(capsys, "chsh", "--optimize", *args, "--format", fmt)
+        assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 

@@ -17,10 +17,12 @@ from nonlocality import (
     SingletModel,
     SuperquantumModel,
     TableModel,
+    apply_jamming,
     box_from_correlation,
     box_from_model,
     builtin_box,
     check_no_signalling,
+    check_unary,
     chsh,
     chsh_at_angles,
     classify_chsh,
@@ -30,7 +32,14 @@ from nonlocality import (
     reduce_angle,
     sample_outcomes,
 )
-from nonlocality.correlations import model_from_json
+from nonlocality.correlations import (
+    ChshResult,
+    NoSignallingReport,
+    UnaryReport,
+    model_from_json,
+)
+
+import box_oracle
 
 PI = math.pi
 
@@ -527,21 +536,93 @@ def test_maximize_stops_at_bound_with_golden_step_tables(c1, seed):
     assert opt.result.terms == terms
 
 
-def test_maximize_counts_evaluations():
-    # A constant model never improves: per start one objective (4 points),
-    # one round of four sweeps (2 varying terms over the grid plus 2 fixed
-    # points each), then 8 trials of 4 points at every step size; plus the
-    # initial objective and the final breakdown.
-    coarse, final, extra = math.pi / 180.0, 1e-8, 4
-    grid = np.arange(0.0, 2.0 * math.pi, coarse).size
-    steps = 0
+# Tables drawn from default_rng(seed), 2-5 points from 0 to pi, and
+# maximize_chsh(_random_table(seed), seed=seed) recorded while every
+# refinement trial still evaluated all four terms: (angles, value, terms).
+# Each of these searches accepts refinement trials and sets an angle back an
+# ulp off where it was; at seeds 98 and 217 the search ends elsewhere unless
+# it re-evaluates the terms of such an angle.
+_GOLDEN_RANDOM_TABLES = {
+    0: ((0.15346806999096277, 0.257314258338806, 0.2053911621770167, 0.10154496749466267),
+        2.2540162668877923,
+        (0.8255111309057763, 0.8255111215621377, 0.8255111461408987, 0.22251713172102008)),
+    4: ((6.260912575258713, 0.05235987755982989, -0.0027270769562411402, 3.193952531149623),
+        2.4785608861507207,
+        (-0.8255150984279643, -0.24702682812979065, -0.8022165456213511, 0.6038024139716145)),
+    6: ((3.141592653589793, 1.6057029118347832, 0.0, 0.0174532925199433),
+        1.9497799607458668,
+        (0.9748899803729332, 0.9645195924674397, 0.062295844689486846, 0.05192545678399313)),
+    25: ((6.2822050142270855, 0.0, 0.000980292952501361, 0.0),
+         2.723350060711114,
+         (-0.9953963050319842, -0.9959475808493997, -0.9959475808493994, -0.2639414060196694)),
+    32: ((1.1856478394187668, 3.5552497478030114, 2.370443467288711, 0.0008415589044650405),
+         2.238341857508235,
+         (0.9336611684195802, 0.9336604925346828, 0.9336604925346829, 0.5626402959807104)),
+    39: ((1.2217304763960306, 5.550147021341968, 0.24870941840919195, 2.4085543677521746),
+         2.9200570119535705,
+         (-0.6956156566837454, -0.6499880374226803, -0.6937533048771715, 0.8807000129699729)),
+    98: ((0.0, 0.4670577018375309, 0.034872496577933586, 3.141592653589793),
+         2.0434966559728527,
+         (-0.8498918300346544, -0.8264976395300445, -0.7848456208799643, -0.41773843447181075)),
+    217: ((1.9940392030357394, 2.0128186499100016, 5.980582339420428, 4.290681383222764),
+          2.7420129139120046,
+          (0.8119218534861747, 0.8119218556437203, 0.8015874972583791, -0.3165817075237304)),
+}
+
+
+def _random_table(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 6))
+    thetas = [0.0] + np.sort(rng.uniform(0.0, PI, size - 2)).tolist() + [PI]
+    return TableModel(thetas, rng.uniform(-1.0, 1.0, size).tolist())
+
+
+@pytest.mark.parametrize("seed", sorted(_GOLDEN_RANDOM_TABLES))
+def test_maximize_matches_golden_random_tables(seed):
+    angles, value, terms = _GOLDEN_RANDOM_TABLES[seed]
+    opt = maximize_chsh(_random_table(seed), seed=seed)
+    assert opt.angles == angles
+    assert opt.value == value
+    assert opt.result.terms == terms
+
+
+def _search_starts(extra_starts, seed):
+    rng = np.random.default_rng(seed)
+    return [ANGLE_PRESETS["eq2"], ANGLE_PRESETS["singlet-optimal"], (0.0,) * 4] + [
+        tuple(rng.uniform(0.0, 2.0 * PI, size=4).tolist()) for _ in range(extra_starts)]
+
+
+def _refinement(start, coarse, final):
+    """Step sizes and ulp restores of a start whose trials are all rejected:
+    each sets its angle back to ``trial - delta``, which may be an ulp off."""
+    angles = list(start)
+    steps = restores = 0
     step = coarse
     while step >= final:
         steps += 1
+        for i in range(4):
+            for delta in (step, -step):
+                old = angles[i]
+                angles[i] = (old + delta) - delta
+                restores += angles[i] != old
         step /= 2.0
-    per_start = 4 + 4 * (2 * grid + 2) + steps * 8 * 4
+    return steps, restores
+
+
+def test_maximize_counts_evaluations():
+    # A constant model never improves: per start one objective (4 points),
+    # one round of four sweeps (2 varying terms over the grid each), then 8
+    # trials of 2 points at every step size, and 2 more points for each trial
+    # that set its angle back an ulp off; plus the initial objective and the
+    # final breakdown.
+    coarse, final, extra = math.pi / 180.0, 1e-8, 4
+    grid = np.arange(0.0, 2.0 * math.pi, coarse).size
+    total = 4 + 4
+    for start in _search_starts(extra, 0):
+        steps, restores = _refinement(start, coarse, final)
+        total += 4 + 4 * 2 * grid + steps * 8 * 2 + 2 * restores
     opt = maximize_chsh(DeterministicModel(5), coarse, final, extra)
-    assert opt.evaluations == 4 + (3 + extra) * per_start + 4
+    assert opt.evaluations == total
     assert maximize_chsh(SingletModel()).evaluations > opt.evaluations
 
 
@@ -551,12 +632,8 @@ def test_maximize_superquantum_runs_one_start():
     # refinement, as for the constant model in the test above
     coarse, final = math.pi / 180.0, 1e-8
     grid = np.arange(0.0, 2.0 * math.pi, coarse).size
-    steps = 0
-    step = coarse
-    while step >= final:
-        steps += 1
-        step /= 2.0
-    per_start = 4 + 4 * (2 * grid + 2) + steps * 8 * 4
+    steps, restores = _refinement(ANGLE_PRESETS["eq2"], coarse, final)
+    per_start = 4 + 4 * 2 * grid + steps * 8 * 2 + 2 * restores
     opt = maximize_chsh(SuperquantumModel())
     assert opt.value == 4.0
     assert opt.evaluations == 4 + per_start + 4
@@ -569,6 +646,28 @@ def test_maximize_rejects_nonpositive_steps(steps):
     # final_step=0 used to loop forever: the step halves to 0.0 and 0.0 >= 0.0
     with pytest.raises(ValueError, match=next(iter(steps))):
         maximize_chsh(SingletModel(), **steps)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"coarse_step": math.inf}, "coarse_step must be a finite number"),
+    ({"final_step": math.inf}, "final_step must be a finite number"),
+    ({"coarse_step": True}, "coarse_step must be a finite number"),
+    ({"extra_starts": -3}, "extra_starts must be >= 0"),
+    ({"extra_starts": 2.5}, "extra_starts must be an integer"),
+    ({"extra_starts": "2"}, "extra_starts must be an integer"),
+])
+def test_maximize_rejects_bad_arguments(kwargs, message):
+    # coarse_step=inf used to fail as "angle must be finite", extra_starts=-3
+    # ran no extra start and 2.5 raised a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        maximize_chsh(SingletModel(), **kwargs)
+
+
+def test_maximize_takes_integral_extra_starts():
+    model = DeterministicModel(5)
+    want = maximize_chsh(model, extra_starts=1)
+    assert maximize_chsh(model, extra_starts=1.0) == want
+    assert maximize_chsh(model, extra_starts=np.int64(1)) == want
 
 
 # ------------------------------------------------------------------ sampling
@@ -602,6 +701,31 @@ def test_sampling_counts_sum_to_n():
 def test_sampling_rejects_zero():
     with pytest.raises(ValueError, match=">= 1"):
         sample_outcomes(builtin_box("uniform"), 0, seed=0)
+
+
+@pytest.mark.parametrize("n,seed,message", [
+    (2.5, 1, "n must be an integer"),
+    (True, 1, "n must be an integer"),
+    ("10", 1, "n must be an integer"),
+    (-1, 1, "n must be >= 1"),
+    (10, -1, "seed must be >= 0"),
+    (10, 1.5, "seed must be an integer"),
+    (10, False, "seed must be an integer"),
+])
+def test_sampling_rejects_bad_n_and_seed(n, seed, message):
+    # n=2.5 used to draw 2 per pair and divide by 2.5, so the perfect box
+    # estimated 1.2 instead of 2.0
+    with pytest.raises(ValueError, match=message):
+        sample_outcomes(builtin_box("perfect"), n, seed)
+
+
+def test_sampling_takes_integral_numbers():
+    box = builtin_box("singlet-optimal")
+    want = sample_outcomes(box, 100, 3)
+    for n, seed in ((100.0, 3), (np.int64(100), np.uint8(3)), (100, 3.0)):
+        report = sample_outcomes(box, n, seed)
+        assert report == want
+        assert type(report.n_per_pair) is int and type(report.seed) is int
 
 
 def test_sampling_converges_to_true_value():
@@ -649,3 +773,64 @@ def test_box_from_model_matches_direct_evaluation():
     box = box_from_model(model, *angles)
     direct = chsh_at_angles(model, *angles)
     assert chsh(box).value == pytest.approx(direct.value, abs=1e-12)
+
+
+# ------------------------------------------------- box path against the loops
+
+
+def _oracle_boxes(rng):
+    """Seeded Dirichlet boxes (almost all signalling), lifted correlations,
+    product boxes and boxes of every model at random axes."""
+    boxes = [NoSignallingBox(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2))
+             for _ in range(300)]
+    boxes += [box_from_correlation(rng.uniform(-1.0, 1.0, (2, 2))) for _ in range(50)]
+    boxes += [product_box(rng.uniform(size=2), rng.uniform(size=2)) for _ in range(50)]
+    for model in _all_models():
+        boxes += [box_from_model(model, *rng.uniform(-PI, PI, 4).tolist()) for _ in range(10)]
+    return boxes
+
+
+def test_box_path_matches_per_setting_loops(rng):
+    boxes = _oracle_boxes(rng)
+    for box, other in zip(boxes, boxes[1:] + boxes[:1]):
+        p = box.probs
+        e = box_oracle.correlations(p)
+        assert box.correlations().tobytes() == e.tobytes()
+        e00, e01, e10, e11 = e.ravel().tolist()
+        assert chsh(box) == ChshResult(e00 + e01 + e10 - e11, (e00, e01, e10, e11))
+        dev = box_oracle.no_signalling_deviation(p)
+        assert check_no_signalling(box) == NoSignallingReport(dev <= 1e-12, dev, 1e-12)
+        strength = float(rng.uniform())
+        jammed = apply_jamming(box, strength)
+        want = NoSignallingBox(box_oracle.jammed_probs(p, strength))
+        assert jammed.probs.tobytes() == want.probs.tobytes()
+        for a, b in ((box, jammed), (box, other)):
+            dev = box_oracle.unary_deviation(a.probs, b.probs)
+            assert check_unary(a, b) == UnaryReport(dev <= 1e-12, dev, 1e-12)
+
+
+def test_box_constructors_match_per_setting_loops(rng):
+    for _ in range(200):
+        e = rng.uniform(-1.0, 1.0, (2, 2))
+        want = NoSignallingBox(box_oracle.lifted_probs(e))
+        assert box_from_correlation(e).probs.tobytes() == want.probs.tobytes()
+        c = float(e[0, 0])
+        scalar = NoSignallingBox(box_oracle.lifted_probs(np.full((2, 2), c)))
+        assert box_from_correlation(c).probs.tobytes() == scalar.probs.tobytes()
+        pa, pb = rng.uniform(size=2).tolist(), rng.uniform(size=2).tolist()
+        want = NoSignallingBox(box_oracle.product_probs(pa, pb))
+        assert product_box(pa, pb).probs.tobytes() == want.probs.tobytes()
+    for e in (0.0, 1.0, -1.0):
+        want = NoSignallingBox(box_oracle.lifted_probs(np.full((2, 2), e)))
+        assert box_from_correlation(e).probs.tobytes() == want.probs.tobytes()
+
+
+def test_sampling_matches_per_setting_loops(rng):
+    for model in _all_models()[:8]:
+        box = box_from_model(model, *rng.uniform(-PI, PI, 4).tolist())
+        n, seed = int(rng.integers(1, 5000)), int(rng.integers(2**31))
+        counts, corr, estimate, std_error = box_oracle.sample_statistics(box.probs, n, seed)
+        report = sample_outcomes(box, n, seed)
+        assert np.array_equal(np.array(report.counts), counts)
+        assert np.array(report.correlations).tobytes() == corr.tobytes()
+        assert (report.chsh_estimate, report.std_error) == (estimate, std_error)
