@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -103,16 +104,31 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
     return tuple(values)  # type: ignore[return-value]
 
 
-def _load_json(path: str):
+def _load_json(path: str, read):
+    """``read`` applied to the JSON data in the file at ``path``. Every input
+    file is read here, and a ``ValueError`` from the JSON parser or from
+    ``read`` is raised again with the path as a prefix."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return read(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_events(data) -> list[st.Event]:
+    """``boost --events``: a list of ``[x..., t]`` events."""
+    if not isinstance(data, list):
+        raise ValueError(
+            f"events JSON must be a list of [x..., t] events, got {type(data).__name__}"
+        )
+    return [st.Event.from_json(item, key=f"event {i}") for i, item in enumerate(data)]
 
 
 def _load_box(args):
     from . import correlations as corr
 
     if getattr(args, "box", None):
-        return corr.NoSignallingBox.from_json(_load_json(args.box))
+        return _load_json(args.box, corr.NoSignallingBox.from_json)
     if getattr(args, "builtin", None):
         return corr.builtin_box(args.builtin)
     raise ValueError("provide --box FILE or --builtin NAME")
@@ -122,7 +138,7 @@ def _model_from_args(args):
     from . import correlations as corr
 
     if getattr(args, "model_file", None):
-        return corr.model_from_json(_load_json(args.model_file))
+        return _load_json(args.model_file, corr.model_from_json)
     if getattr(args, "model", None):
         # NAME[:ID] is the model JSON {"kind": NAME, "strategy": ID}
         kind, sep, ident = args.model.partition(":")
@@ -269,12 +285,12 @@ def _cmd_jam(args):
         params.update({"d": d, "position": position, "sweep_range": args.sweep_range})
         return {"csv": args.csv, "rows": count}, params, True
     if args.scenario:
-        scenario = jam.JamScenario.from_json(_load_json(args.scenario))
+        scenario = _load_json(args.scenario, jam.JamScenario.from_json)
         report = jam.detect_causal_loops(scenario, tol=tol)
         params["scenario"] = args.scenario
         return report, params, report.acyclic
     if args.config:
-        cfg = jam.JammingConfiguration.from_json(_load_json(args.config))
+        cfg = _load_json(args.config, jam.JammingConfiguration.from_json)
         validation = jam.validate_configuration(cfg, tol=tol)
         params["config"] = args.config
         if not validation.valid:
@@ -299,12 +315,7 @@ def _cmd_jam(args):
 
 
 def _cmd_boost(args):
-    data = _load_json(args.events)
-    if not isinstance(data, list):
-        raise ValueError(
-            f"events JSON must be a list of [x..., t] events, got {type(data).__name__}"
-        )
-    events = [st.Event.from_json(item, key=f"event {i}") for i, item in enumerate(data)]
+    events = _load_json(args.events, _read_events)
     params = {"events": args.events, "tol": st.default_tol()}
     if args.orderings:
         found = st.achievable_orderings(events)
@@ -523,14 +534,22 @@ def main(argv=None) -> int:
         "duration_s": round(time.perf_counter() - started, 6) if args.timing else None,
     })
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        text = json.dumps(report, sort_keys=True, indent=2)
     else:
-        print(f"command: {args.command}")
-        for line in _render_text(report["params"]):
-            print(f"  {line}")
-        for line in _render_text(report["results"]):
-            print(line)
-        print(f"ok: {ok}")
+        text = "\n".join([
+            f"command: {args.command}",
+            *(f"  {line}" for line in _render_text(report["params"])),
+            *_render_text(report["results"]),
+            f"ok: {ok}",
+        ])
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``). The verdict stands; point
+        # stdout at devnull so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if ok else 1
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass
 
@@ -85,7 +86,7 @@ def _as_float_tuple(values) -> tuple[float, ...]:
 
 
 def _dot(p, q) -> float:
-    return sum(x * y for x, y in zip(p, q))
+    return sum(map(operator.mul, p, q))
 
 
 @dataclass(frozen=True)
@@ -277,19 +278,27 @@ def _within(v, rows) -> bool:
     return all(_dot(a, v) <= b + 1e-12 for a, b in rows)
 
 
-def _min_norm_point(rows, d: int) -> tuple[float, ...] | None:
-    """Minimum-norm point of the half-spaces a.v <= b (unit a) in ``rows``,
-    given that it lies on the last one; None if they do not intersect.
+def _min_norm_point(path, step, faces, d: int) -> tuple[float, ...] | None:
+    """Minimum-norm point of the half-spaces a.v <= b (unit a) ``step[s]``
+    for s in ``path``, given that it lies on the last one; None if they do
+    not intersect.
 
     The minimum is the KKT point of a face A_S v = b_S of at most d
     independent rows, one of them the last. The faces are tried smallest
     first; the first KKT point that satisfies every row is the minimum, as
-    the problem is convex.
+    the problem is convex. ``faces`` maps each face solved so far, as its
+    tuple of indices into ``step`` (the new row last), to its KKT point or
+    None, and gains the faces solved here.
     """
-    *old, last = rows
-    for size in range(min(d, len(rows))):
+    rows = [step[s] for s in path]
+    *old, last = path
+    for size in range(min(d, len(path))):
         for subset in itertools.combinations(old, size):
-            v = _face_point((*subset, last), d)
+            face = (*subset, last)
+            try:
+                v = faces[face]
+            except KeyError:
+                v = faces[face] = _face_point([step[s] for s in face], d)
             if v is not None and _within(v, rows):
                 return v
     return None
@@ -310,10 +319,14 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
 
     Orders are built by depth-first search over prefixes: each added event
     adds one half-space, and a prefix whose half-spaces miss the ball
-    |v| < 1 - tol is pruned with all its extensions. Returns a map from index
-    permutation to witness boost. Raises ``ValueError`` for fewer than 2 or
-    more than ``MAX_ORDERING_EVENTS`` events, or for a pair that is not
-    spacelike.
+    |v| < 1 - tol is pruned with all its extensions. Many prefixes share a
+    face (the same half-spaces in the same order), so each face is solved
+    once per call and its point shared across prefixes; the face points live
+    in a dict local to the call, and no cache outlives it.
+
+    Returns a map from index permutation to witness boost. Raises
+    ``ValueError`` for fewer than 2 or more than ``MAX_ORDERING_EVENTS``
+    events, or for a pair that is not spacelike.
     """
     n = len(events)
     if n < 2:
@@ -333,30 +346,39 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
                     f"events {i} and {k} are {iv.kind}, not spacelike; "
                     "their order is frame-independent"
                 )
-    # step[i][k]: the half-space u.v <= dt/|dx| - tol that puts k after i
-    step = [[None] * n for _ in range(n)]
+    # step[i * n + k]: the half-space u.v <= dt/|dx| - tol that puts k after i
+    step = [None] * (n * n)
     for i, ei in enumerate(events):
         for k, ek in enumerate(events):
             if i != k:
                 dx = [q - p for p, q in zip(ei.x, ek.x)]
                 length = math.sqrt(_dot(dx, dx))
-                step[i][k] = (tuple(c / length for c in dx), (ek.t - ei.t) / length - tol)
+                step[i * n + k] = (tuple(c / length for c in dx), (ek.t - ei.t) / length - tol)
 
     found: dict[tuple[int, ...], Boost] = {}
+    faces: dict[tuple[int, ...], tuple[float, ...] | None] = {}
 
-    def extend(order, rows, v):
+    def extend(order, path, v):
         if len(order) == n:
             found[order] = Boost(v)
             return
+        base = order[-1] * n
         for k in range(n):
             if k in order:
                 continue
-            grown = (*rows, step[order[-1]][k])
-            # the old minimum stays the minimum while it satisfies the new row
-            w = v if _within(v, grown[-1:]) else _min_norm_point(grown, d)
+            grown = (*path, base + k)
+            a, b = step[base + k]
+            # the old minimum stays the minimum while it satisfies the new
+            # row, and its norm was checked when it was found
+            if _dot(a, v) <= b + 1e-12:
+                extend((*order, k), grown, v)
+                continue
+            w = _min_norm_point(grown, step, faces, d)
             if w is not None and math.sqrt(_dot(w, w)) < 1.0 - tol:
                 extend((*order, k), grown, w)
 
-    for i in range(n):
-        extend((i,), (), (0.0,) * d)
+    # every branch starts at v = 0, whose norm is checked here, once
+    if 0.0 < 1.0 - tol:
+        for i in range(n):
+            extend((i,), (), (0.0,) * d)
     return found

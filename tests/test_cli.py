@@ -242,6 +242,7 @@ def test_chsh_bad_model_file_is_input_error(tmp_path, capsys, spec, key):
     code, out, err = run_cli(capsys, "chsh", "--optimize", "--model-file", path)
     assert code == 2
     assert key in err
+    assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err and out == ""
 
 
@@ -406,6 +407,7 @@ def test_jam_config_with_bad_key_is_input_error(tmp_path, capsys, cfg, key):
     code, out, err = run_cli(capsys, "jam", "--config", path)
     assert code == 2
     assert key in err
+    assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err and out == ""
 
 
@@ -421,6 +423,7 @@ def test_non_list_json_is_input_error(tmp_path, capsys, args, payload):
     code, out, err = run_cli(capsys, *args, path)
     assert code == 2
     assert "must be a list" in err
+    assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err and out == ""
 
 
@@ -637,6 +640,45 @@ def test_malformed_box_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "nosig", "--box", str(path))
     assert code == 2
     assert "P" in err
+    assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("args", [
+    ("nosig", "--box"),
+    ("chsh", "--model-file"),
+    ("jam", "--config"),
+    ("jam", "--scenario"),
+    ("boost", "--orderings", "--events"),
+])
+def test_file_that_is_not_json_is_input_error_naming_the_file(tmp_path, capsys, args):
+    path = tmp_path / "in.json"
+    path.write_text('{"P": [1, 2')
+    code, out, err = run_cli(capsys, *args, str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: Expecting")
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("args,code", [
+    (["nosig", "--builtin", "singlet-optimal"], 0),
+    (["jam", "--config", "fail.json"], 1),
+])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_output_pipe_keeps_the_exit_code(tmp_path, args, code, fmt):
+    # the reader is gone before the report is written, as with "| head -0";
+    # this used to end in a BrokenPipeError traceback and exit code 1
+    write_json(tmp_path / "fail.json", {"a": [0.0, 0.0], "b": [2.0, 0.5], "j": [5.0, 1.0]})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonlocality.cli", *args, "--format", fmt],
+            cwd=tmp_path, stdout=write_end, stderr=subprocess.PIPE, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 @pytest.mark.parametrize("payload", [5, [], ["P"]])

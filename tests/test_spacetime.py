@@ -32,6 +32,7 @@ from nonlocality.spacetime import (
 
 from conftest import random_boost, random_spacelike_pair
 from grid_oracle import grid_orderings
+import ordering_oracle
 from ridge_oracle import canonicalize_pair
 
 coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -405,6 +406,73 @@ def test_orderings_reject_too_many_events():
     with pytest.raises(ValueError, match=f"at most {MAX_ORDERING_EVENTS} events"):
         achievable_orderings(events)
     assert len(achievable_orderings(events[:4])) == 2  # collinear: by position, either way
+
+
+def _oracle_event_sets(rng):
+    """Seeded event sets in d = 1..3 with n = 2..6: mutually spacelike
+    random, simultaneous and collinear ones, and a random one that may hold a
+    timelike or null pair; then one d = 1 set of 8 events and sets that
+    must raise."""
+
+    def spacelike(draw):
+        while True:
+            events = draw()
+            if all(interval(p, q).kind == SPACELIKE
+                   for i, p in enumerate(events) for q in events[i + 1:]):
+                return events
+
+    for d in (1, 2, 3):
+        for n in range(2, 7):
+            def general():
+                return [Event(tuple(rng.uniform(-n, n, d)), rng.uniform(-1.0, 1.0))
+                        for _ in range(n)]
+
+            def collinear():
+                u = rng.normal(size=d)
+                u /= np.linalg.norm(u)
+                return [Event(tuple(rng.uniform(-n, n) * u), rng.uniform(-0.5, 0.5))
+                        for _ in range(n)]
+
+            for _ in range(3 if n < 6 else 1):
+                yield spacelike(general)
+            yield general()
+            yield [Event(tuple(rng.uniform(-n, n, d)), 0.0) for _ in range(n)]
+            yield spacelike(collinear)
+    yield spacelike(lambda: [Event((2.5 * i + rng.uniform(-0.5, 0.5),), rng.uniform(-1.0, 1.0))
+                             for i in range(8)])
+    yield [Event((0.0,), 0.0), Event((1.0,), 1.0)]
+    yield [Event((0.0,), 0.0), Event((0.0, 1.0), 0.0)]
+    yield [Event((3.0 * i,), 0.0) for i in range(MAX_ORDERING_EVENTS + 1)]
+    yield [Event((0.0,), 0.0)]
+
+
+def _outcome(search, events):
+    """The orders in the order returned, with witness velocities as hex
+    strings, or the ValueError text."""
+    try:
+        found = search(events)
+    except ValueError as exc:
+        return str(exc)
+    return [(order, [c.hex() for c in bst.v]) for order, bst in found.items()]
+
+
+def test_orderings_match_oracle_bit_for_bit():
+    rng = np.random.default_rng(711)
+    kinds = set()
+    for events in _oracle_event_sets(rng):
+        got = _outcome(achievable_orderings, events)
+        assert got == _outcome(ordering_oracle.achievable_orderings, events)
+        kinds.add(type(got))
+    assert kinds == {list, str}
+
+
+def test_orderings_match_oracle_when_tol_leaves_no_ball(monkeypatch):
+    # tol = 1 leaves no velocity inside |v| < 1 - tol, not even v = 0, which
+    # satisfies the half-space of this nearly null pair (1e-12 of rounding)
+    monkeypatch.setenv(TOL_ENV_VAR, "1")
+    events = [Event((0.0,), 0.0), Event((1e7,), 1e7 - 2e-7)]
+    assert interval(*events).kind == SPACELIKE
+    assert achievable_orderings(events) == ordering_oracle.achievable_orderings(events) == {}
 
 
 # ------------------------------------------------------------- serialization
