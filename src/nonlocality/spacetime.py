@@ -150,13 +150,6 @@ class Boost:
     def gamma(self) -> float:
         return 1.0 / math.sqrt(1.0 - self.speed**2)
 
-    def inverse(self) -> "Boost":
-        return Boost(tuple(-c for c in self.v))
-
-    @classmethod
-    def zero(cls, d: int) -> "Boost":
-        return cls((0.0,) * d)
-
 
 @dataclass(frozen=True)
 class IntervalClass:
@@ -184,12 +177,21 @@ def _require_same_dimension(*events: Event) -> int:
 
 
 def interval(e1: Event, e2: Event, tol: float | None = None) -> IntervalClass:
-    """Classify the interval between two events; symmetric in its arguments."""
+    """Classify the interval between two events; symmetric in its arguments.
+
+    Raises ``ValueError`` naming both events when s^2 is not finite: a time
+    or space difference above about 1.3e154 overflows when squared.
+    """
     _require_same_dimension(e1, e2)
     tol = _resolve_tol(tol)
     dt = e2.t - e1.t
     dx = [q - p for p, q in zip(e1.x, e2.x)]
     s2 = dt * dt - _dot(dx, dx)
+    if not math.isfinite(s2):
+        raise ValueError(
+            f"the interval between events {e1.to_json()} and {e2.to_json()} "
+            f"overflows: s^2 = {s2}"
+        )
     if s2 > tol:
         kind = TIMELIKE
     elif s2 < -tol:
@@ -252,6 +254,9 @@ def _face_point(face, d: int) -> tuple[float, ...] | None:
     lower triangular; then v = Q^T c with R c = b, and R^T lam = c. None when
     a row lies within 1e-6 (sine of the angle) of the span of those before
     it, or when some lam > 1e-12 (rounding allowed for).
+
+    ``_row_point`` and ``_pair_point`` are this function written out for
+    one and two rows; the prefix search calls it for three or more.
     """
     basis: list[tuple[float, ...]] = []
     r: list[list[float]] = []
@@ -273,9 +278,43 @@ def _face_point(face, d: int) -> tuple[float, ...] | None:
     return tuple(_dot(coef, [q[k] for q in basis]) for k in range(d))
 
 
-def _within(v, rows) -> bool:
-    """v lies in every half-space a.v <= b of ``rows``, up to 1e-12 of rounding."""
-    return all(_dot(a, v) <= b + 1e-12 for a, b in rows)
+# The written-out forms below perform _face_point's float operations in the
+# same order. A dot product of d terms stays a _dot call: from Python 3.12 on,
+# sum() of floats is compensated, and an unrolled sum of three or more terms
+# can differ from it in the last bit. A sum of one or two terms, started
+# from 0 as sum() starts, is the same in every version, so those are
+# written out as 0.0 + x (+ y).
+
+
+def _row_point(a, b) -> tuple[float, ...] | None:
+    """``_face_point([(a, b)], d)``: the projection of 0 onto a.v = b, if
+    its multiplier (b / |a|^2) is <= 1e-12."""
+    norm = math.sqrt(_dot(a, a))
+    if norm <= 1e-6:
+        return None
+    c = b / norm
+    if c / norm > 1e-12:
+        return None
+    return tuple(0.0 + c * (x / norm) for x in a)
+
+
+def _pair_point(a1, b1, a2, b2) -> tuple[float, ...] | None:
+    """``_face_point([(a1, b1), (a2, b2)], d)``: one 2x2 Gram-Schmidt step."""
+    n1 = math.sqrt(_dot(a1, a1))
+    if n1 <= 1e-6:
+        return None
+    q1 = tuple(x / n1 for x in a1)
+    c1 = b1 / n1
+    p = _dot(a2, q1)
+    w = [x - (0.0 + p * y) for x, y in zip(a2, q1)]
+    n2 = math.sqrt(_dot(w, w))
+    if n2 <= 1e-6:
+        return None
+    c2 = (b2 - (0.0 + p * c1)) / n2
+    lam2 = c2 / n2
+    if lam2 > 1e-12 or (c1 - (0.0 + p * lam2)) / n1 > 1e-12:
+        return None
+    return tuple(0.0 + c1 * x + c2 * (y / n2) for x, y in zip(q1, w))
 
 
 def _min_norm_point(path, step, faces, d: int) -> tuple[float, ...] | None:
@@ -285,12 +324,11 @@ def _min_norm_point(path, step, faces, d: int) -> tuple[float, ...] | None:
 
     The minimum is the KKT point of a face A_S v = b_S of at most d
     independent rows, one of them the last. The faces are tried smallest
-    first; the first KKT point that satisfies every row is the minimum, as
-    the problem is convex. ``faces`` maps each face solved so far, as its
-    tuple of indices into ``step`` (the new row last), to its KKT point or
-    None, and gains the faces solved here.
+    first; the first KKT point that satisfies every row, up to 1e-12 of
+    rounding, is the minimum, as the problem is convex. ``faces`` maps each
+    face solved so far, as its tuple of indices into ``step`` (the new row
+    last), to its KKT point or None, and gains the faces solved here.
     """
-    rows = [step[s] for s in path]
     *old, last = path
     for size in range(min(d, len(path))):
         for subset in itertools.combinations(old, size):
@@ -298,8 +336,20 @@ def _min_norm_point(path, step, faces, d: int) -> tuple[float, ...] | None:
             try:
                 v = faces[face]
             except KeyError:
-                v = faces[face] = _face_point([step[s] for s in face], d)
-            if v is not None and _within(v, rows):
+                if size == 0:
+                    v = _row_point(*step[last])
+                elif size == 1:
+                    v = _pair_point(*step[subset[0]], *step[last])
+                else:
+                    v = _face_point([step[s] for s in face], d)
+                faces[face] = v
+            if v is None:
+                continue
+            for s in path:
+                a, b = step[s]
+                if not _dot(a, v) <= b + 1e-12:
+                    break
+            else:
                 return v
     return None
 
@@ -319,14 +369,19 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
 
     Orders are built by depth-first search over prefixes: each added event
     adds one half-space, and a prefix whose half-spaces miss the ball
-    |v| < 1 - tol is pruned with all its extensions. Many prefixes share a
-    face (the same half-spaces in the same order), so each face is solved
-    once per call and its point shared across prefixes; the face points live
-    in a dict local to the call, and no cache outlives it.
+    |v| < 1 - tol is pruned with all its extensions. The minimum is the KKT
+    point of a face (the new half-space and at most d - 1 earlier ones).
+    Faces of one row are solved in closed form as the projection of 0 onto
+    the row's hyperplane, faces of two rows as one written-out Gram-Schmidt
+    step, and larger faces (d >= 3) by Gram-Schmidt on a list of rows; all
+    three give the same bits. Many prefixes share a face, so each face is
+    solved once per call; the face points live in a dict local to the
+    call, and no cache outlives it.
 
     Returns a map from index permutation to witness boost. Raises
     ``ValueError`` for fewer than 2 or more than ``MAX_ORDERING_EVENTS``
-    events, or for a pair that is not spacelike.
+    events, for a pair that is not spacelike, or for a pair whose |dx|^2
+    or s^2 overflows (|dx| or |dt| above about 1.3e154).
     """
     n = len(events)
     if n < 2:
@@ -338,22 +393,30 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
         )
     d = _require_same_dimension(*events)
     tol = default_tol()
-    for i in range(n):
-        for k in range(i + 1, n):
-            iv = interval(events[i], events[k], tol=tol)
-            if iv.kind != SPACELIKE:
-                raise ValueError(
-                    f"events {i} and {k} are {iv.kind}, not spacelike; "
-                    "their order is frame-independent"
-                )
-    # step[i * n + k]: the half-space u.v <= dt/|dx| - tol that puts k after i
+    # step[i * n + k]: the half-space u.v <= dt/|dx| - tol that puts k after
+    # i; the one that puts i after k is its negation, shrunk by tol too
     step = [None] * (n * n)
     for i, ei in enumerate(events):
-        for k, ek in enumerate(events):
-            if i != k:
-                dx = [q - p for p, q in zip(ei.x, ek.x)]
-                length = math.sqrt(_dot(dx, dx))
-                step[i * n + k] = (tuple(c / length for c in dx), (ek.t - ei.t) / length - tol)
+        for k in range(i + 1, n):
+            ek = events[k]
+            dx = [q - p for p, q in zip(ei.x, ek.x)]
+            dt = ek.t - ei.t
+            sq = _dot(dx, dx)
+            s2 = dt * dt - sq
+            if not -math.inf < s2 < -tol:
+                if not math.isfinite(s2):
+                    raise ValueError(
+                        f"the interval between events {i} and {k} overflows: s^2 = {s2}"
+                    )
+                raise ValueError(
+                    f"events {i} and {k} are {TIMELIKE if s2 > tol else NULL}, not spacelike; "
+                    "their order is frame-independent"
+                )
+            length = math.sqrt(sq)
+            u = tuple(c / length for c in dx)
+            beta = dt / length
+            step[i * n + k] = (u, beta - tol)
+            step[k * n + i] = (tuple(-c for c in u), -beta - tol)
 
     found: dict[tuple[int, ...], Boost] = {}
     faces: dict[tuple[int, ...], tuple[float, ...] | None] = {}

@@ -49,7 +49,7 @@ class FrameMap:
         x = self._matrix().T @ x
         x = x - np.asarray(self.shift_x)
         t = t - self.shift_t
-        return boost(Event(tuple(x), t), Boost(self.boost_velocity).inverse())
+        return boost(Event(tuple(x), t), Boost(tuple(-c for c in self.boost_velocity)))
 
 
 def _alignment_to_first_axis(u: np.ndarray) -> np.ndarray:

@@ -411,6 +411,17 @@ def test_jam_config_with_bad_key_is_input_error(tmp_path, capsys, cfg, key):
     assert "Traceback" not in err and out == ""
 
 
+def test_jam_config_with_overflowing_interval_is_input_error(tmp_path, capsys):
+    # s^2 of aj and bj is inf - inf: both pairs were reported as null, with
+    # NaN and -Infinity written into the JSON, and jam exited 1
+    cfg = {"a": [-1e160, 0.0], "b": [1e160, 0.0], "j": [0.0, -5e159]}
+    path = write_json(tmp_path / "cfg.json", cfg)
+    code, out, err = run_cli(capsys, "jam", "--config", path, "--format", "json")
+    assert code == 2
+    assert "overflows" in err and "[-1e+160, 0.0]" in err
+    assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("args,payload", [
     (("jam", "--scenario"), {"a": 5}),
     (("boost", "--v", "0.1", "--events"), 5),
@@ -553,6 +564,15 @@ def test_boost_orderings_too_many_events_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "boost", "--events", path, "--orderings")
     assert code == 2
     assert "at most 8 events" in err
+
+
+def test_boost_orderings_overflow_is_input_error(tmp_path, capsys):
+    # |dx|^2 = inf used to give "count: 0" and exit 0
+    path = write_json(tmp_path / "events.json", [[-1e160, 0.0], [1e160, 0.0]])
+    code, out, err = run_cli(capsys, "boost", "--events", path, "--orderings")
+    assert code == 2
+    assert "events 0 and 1 overflows" in err
+    assert "Traceback" not in err and out == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "0", "abc"])

@@ -28,6 +28,9 @@ from nonlocality.spacetime import (
     SPACELIKE,
     TIMELIKE,
     TOL_ENV_VAR,
+    _face_point,
+    _pair_point,
+    _row_point,
 )
 
 from conftest import random_boost, random_spacelike_pair
@@ -88,6 +91,18 @@ def test_interval_dimension_mismatch():
         interval(Event((0.0,), 0.0), Event((0.0, 0.0), 0.0))
 
 
+# |dx|^2 and dt^2 overflow above about 1.3e154: s^2 came out as -inf (spacelike)
+# or as inf - inf = NaN (null)
+@pytest.mark.parametrize("e1,e2", [
+    (Event((-1e160, 0.0), 0.0), Event((1e160, 0.0), 0.0)),
+    (Event((-1e160,), 0.0), Event((0.0,), -5e159)),
+    (Event((0.0,), -1e160), Event((0.0,), 1e160)),
+])
+def test_interval_overflow_is_an_error(e1, e2):
+    with pytest.raises(ValueError, match=r"between events \[.*\] and \[.*\] overflows"):
+        interval(e1, e2)
+
+
 @given(events_strategy(2), events_strategy(2))
 def test_interval_symmetric(e1, e2):
     assert interval(e1, e2).squared == interval(e2, e1).squared
@@ -98,7 +113,7 @@ def test_interval_symmetric(e1, e2):
 
 def test_boost_identity():
     e = Event((0.4, -1.1, 2.0), 0.7)
-    assert boost(e, Boost.zero(3)) == e
+    assert boost(e, Boost((0.0,) * 3)) == e
 
 
 def test_boost_closed_form_1d():
@@ -119,7 +134,7 @@ def test_boost_rejects_superluminal():
 @settings(max_examples=80)
 @given(events_strategy(3), boost_strategy(3, max_speed=0.95))
 def test_boost_roundtrip_is_identity(e, bst):
-    back = boost(boost(e, bst), bst.inverse())
+    back = boost(boost(e, bst), Boost(tuple(-c for c in bst.v)))
     assert back.t == pytest.approx(e.t, abs=1e-12)
     assert np.allclose(back.x, e.x, atol=1e-12)
 
@@ -311,6 +326,13 @@ def test_orderings_rejects_non_spacelike():
         achievable_orderings([Event((0.0,), 0.0), Event((0.0,), 1.0)])
 
 
+def test_orderings_overflow_names_the_pair():
+    # |dx|^2 = inf used to turn the half-spaces into NaN: no order, no error
+    events = [Event((0.0,), 0.0), Event((-1e154,), 0.0), Event((1e154,), 0.0)]
+    with pytest.raises(ValueError, match="between events 1 and 2 overflows"):
+        achievable_orderings(events)
+
+
 def test_orderings_full_reversal_for_outlying_jammer():
     # three simultaneous collinear events: any boost orders them by position,
     # so the jammer at x=3 can come first or last
@@ -411,8 +433,11 @@ def test_orderings_reject_too_many_events():
 def _oracle_event_sets(rng):
     """Seeded event sets in d = 1..3 with n = 2..6: mutually spacelike
     random, simultaneous and collinear ones, and a random one that may hold a
-    timelike or null pair; then one d = 1 set of 8 events and sets that
-    must raise."""
+    timelike or null pair; then one d = 1 set of 8 events; random d = 4 sets,
+    whose faces of three and four rows go through ``_face_point``;
+    integer-lattice sets in d = 1..4, with exact ties and exactly dependent
+    rows; d = 2 sets of 7 and 8 events along a line; and sets that must
+    raise."""
 
     def spacelike(draw):
         while True:
@@ -440,6 +465,18 @@ def _oracle_event_sets(rng):
             yield spacelike(collinear)
     yield spacelike(lambda: [Event((2.5 * i + rng.uniform(-0.5, 0.5),), rng.uniform(-1.0, 1.0))
                              for i in range(8)])
+    for n in range(3, 6):
+        yield spacelike(lambda: [Event(tuple(rng.uniform(-n, n, 4)), rng.uniform(-1.0, 1.0))
+                                 for _ in range(n)])
+    for d in (1, 2, 3, 4):
+        for n in (3, 4, 5):
+            yield spacelike(lambda: [Event(tuple(map(float, rng.integers(-3, 4, d))),
+                                           float(rng.integers(-1, 2)))
+                                     for _ in range(n)])
+    for n in (7, 8):
+        yield spacelike(lambda: [Event((2.5 * i + rng.uniform(-0.5, 0.5),
+                                        rng.uniform(-0.25, 0.25)), rng.uniform(-1.0, 1.0))
+                                 for i in range(n)])
     yield [Event((0.0,), 0.0), Event((1.0,), 1.0)]
     yield [Event((0.0,), 0.0), Event((0.0, 1.0), 0.0)]
     yield [Event((3.0 * i,), 0.0) for i in range(MAX_ORDERING_EVENTS + 1)]
@@ -473,6 +510,47 @@ def test_orderings_match_oracle_when_tol_leaves_no_ball(monkeypatch):
     events = [Event((0.0,), 0.0), Event((1e7,), 1e7 - 2e-7)]
     assert interval(*events).kind == SPACELIKE
     assert achievable_orderings(events) == ordering_oracle.achievable_orderings(events) == {}
+
+
+def _unit(v):
+    norm = math.sqrt(sum(c * c for c in v))
+    return tuple(c / norm for c in v)
+
+
+def _hex(v):
+    return None if v is None else [c.hex() for c in v]
+
+
+@st.composite
+def _two_rows(draw):
+    """Two unit rows in d = 1..4, the second at times within about 1e-6
+    (sine of the angle) of the first's line, and right-hand sides
+    b = A A^T lam for multipliers drawn at times near the 1e-12 cut."""
+    d = draw(st.integers(1, 4))
+    comps = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    a1 = _unit(draw(comps.filter(lambda v: max(map(abs, v)) > 1e-3)))
+    offset = draw(st.one_of(st.none(), st.floats(0.0, 3e-6)))
+    if offset is None:
+        a2 = _unit(draw(comps.filter(lambda v: max(map(abs, v)) > 1e-3)))
+    else:
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        nudge = draw(comps)
+        a2 = _unit([sign * c + offset * e for c, e in zip(a1, nudge)])
+    lam = st.one_of(st.floats(-1.0, 1.0), st.floats(-3e-12, 3e-12), st.just(1e-12))
+    lam1, lam2 = draw(lam), draw(lam)
+    p = sum(x * y for x, y in zip(a1, a2))
+    return d, (a1, lam1 + p * lam2), (a2, p * lam1 + lam2)
+
+
+@settings(max_examples=200)
+@given(_two_rows())
+def test_closed_form_faces_equal_face_point(rows):
+    # the one- and two-row forms must repeat _face_point's arithmetic bit
+    # for bit, a dependent row and a positive multiplier (None) included
+    d, first, second = rows
+    assert _hex(_row_point(*first)) == _hex(_face_point([first], d))
+    assert _hex(_row_point(*second)) == _hex(_face_point([second], d))
+    assert _hex(_pair_point(*first, *second)) == _hex(_face_point([first, second], d))
 
 
 # ------------------------------------------------------------- serialization
