@@ -68,7 +68,6 @@ _EXPORTS = {
         "achievable_orderings",
         "boost",
         "default_tol",
-        "in_future_cone",
         "interval",
     ),
 }

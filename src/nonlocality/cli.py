@@ -79,6 +79,25 @@ def _parse_tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# Largest ``jam --d``. The geometry modes build tuples of d coordinates before
+# any other check, so an unbounded d ran out of memory (MemoryError, exit 1)
+# instead of failing as an input error.
+_MAX_DIMENSION = 1_000_000
+
+
+def _parse_dimension(text: str) -> int:
+    """``jam --d``: the spatial dimension, an integer 1.._MAX_DIMENSION."""
+    try:
+        d = int(text)
+    except ValueError:
+        d = 0
+    if not 1 <= d <= _MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer 1..{_MAX_DIMENSION}, got {text!r}"
+        )
+    return d
+
+
 def _parse_deterministic(text: str) -> str:
     """``chsh --deterministic``: 'all' or a strategy id, an integer 0..15."""
     try:
@@ -394,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jam", help="jamming configurations, windows, scenarios, boxes")
     p.add_argument("--config", help="configuration JSON file")
     p.add_argument("--latest", action="store_true", help="latest jammer time sweep")
-    p.add_argument("--d", type=int, default=1, help="spatial dimension")
+    p.add_argument("--d", type=_parse_dimension, default=1,
+                   help=f"spatial dimension, an integer 1..{_MAX_DIMENSION}")
     p.add_argument("--position", help="jammer spatial position, comma-separated")
     p.add_argument("--sweep", action="store_true", help="margin vs jammer time CSV")
     p.add_argument(

@@ -89,13 +89,6 @@ class NoSignallingBox:
         setting pair, each indexed [x, y, outcome]."""
         return self.probs.sum(axis=3), self.probs.sum(axis=2)
 
-    def marginal_a(self, x: int, y: int) -> np.ndarray:
-        """Alice's outcome distribution (P(+1), P(-1)) for settings (x, y)."""
-        return self.probs[x, y].sum(axis=1)
-
-    def marginal_b(self, x: int, y: int) -> np.ndarray:
-        return self.probs[x, y].sum(axis=0)
-
     def to_json(self) -> dict:
         """Index order (x, y, a, b), outcome +1 before -1."""
         return {"P": self.probs.tolist()}
@@ -475,13 +468,10 @@ def enumerate_deterministic() -> list[DeterministicStrategy]:
     out = []
     for sid in range(16):
         model = DeterministicModel(sid)
-        probs = np.zeros((2, 2, 2, 2))
-        for x in (0, 1):
-            for y in (0, 1):
-                ia = OUTCOMES.index(model.alice[x])
-                ib = OUTCOMES.index(model.bob[y])
-                probs[x, y, ia, ib] = 1.0
-        box = NoSignallingBox(probs)
+        box = product_box(
+            [float(o == +1) for o in model.alice],
+            [float(o == +1) for o in model.bob],
+        )
         out.append(
             DeterministicStrategy(
                 strategy_id=sid,

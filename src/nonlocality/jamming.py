@@ -43,10 +43,12 @@ from .spacetime import (
     Event,
     IntervalClass,
     LightCone,
+    _as_float_tuple,
+    _interval_kind,
     _json_number,
     _resolve_tol,
+    _squared_interval,
     cone_slack,
-    interval,
 )
 
 
@@ -104,13 +106,30 @@ class ConfigurationValidation:
     on_boundary: bool  # j null-separated from a or b: edge of the allowed region
 
 
+def _squared_intervals(a: Event, b: Event, j: Event) -> tuple[float, float, float]:
+    """s^2 of the pairs (a, b), (a, j) and (b, j), in that order; the first
+    that overflows raises ``interval``'s ``ValueError``. The triple is
+    mutually spacelike under ``tol`` iff the largest is below -tol."""
+    return _squared_interval(a, b), _squared_interval(a, j), _squared_interval(b, j)
+
+
 def validate_configuration(
     cfg: JammingConfiguration, tol: float | None = None
 ) -> ConfigurationValidation:
+    """Classify the three pairs of ``cfg`` as :func:`spacetime.interval` does.
+
+    ``valid`` iff all three squared intervals are below -tol (strictly
+    spacelike). ``on_boundary`` is True when j is null-separated from a or
+    b (|s^2| <= tol): j sits on the edge of the allowed region, and the
+    configuration is not valid. Raises ``ValueError`` naming the two events
+    when a squared interval overflows (a coordinate difference above about
+    1.3e154).
+    """
     tol = _resolve_tol(tol)
-    ab = interval(cfg.a, cfg.b, tol=tol)
-    aj = interval(cfg.a, cfg.j, tol=tol)
-    bj = interval(cfg.b, cfg.j, tol=tol)
+    ab, aj, bj = (
+        IntervalClass(kind=_interval_kind(s2, tol), squared=s2)
+        for s2 in _squared_intervals(cfg.a, cfg.b, cfg.j)
+    )
     valid = all(iv.kind == SPACELIKE for iv in (ab, aj, bj))
     on_boundary = aj.kind == NULL or bj.kind == NULL
     return ConfigurationValidation(ab=ab, aj=aj, bj=bj, valid=valid, on_boundary=on_boundary)
@@ -169,15 +188,21 @@ def binary_condition(cfg: JammingConfiguration, tol: float | None = None) -> Bin
     t = sqrt(1 + r^2), mapped back to the input frame: the stationary point
     r = w/(|j1| - 1) when |j1| > 1, else t = max(1, 2/|margin|), where the
     slack is at most margin/2. In d = 1 it is the apex (r = 0, t = 1).
+
+    Validation and the transform share one pass: the three squared
+    intervals are computed once, and the transform runs iff the largest is
+    below -tol. Raises ``ValueError`` when a, b and j are not mutually
+    spacelike (naming the three interval classes) or when a squared
+    interval overflows (as :func:`validate_configuration` does).
     """
     tol = _resolve_tol(tol)
-    val = validate_configuration(cfg, tol=tol)
-    if not val.valid:
-        raise ValueError(
-            "binary condition requires mutually spacelike a, b, j; got "
-            f"ab={val.ab.kind}, aj={val.aj.kind}, bj={val.bj.kind}"
-        )
     a, b, j = cfg.a, cfg.b, cfg.j
+    s2 = _squared_intervals(a, b, j)
+    if not max(s2) < -tol:
+        ab, aj, bj = (_interval_kind(s, tol) for s in s2)
+        raise ValueError(
+            f"binary condition requires mutually spacelike a, b, j; got ab={ab}, aj={aj}, bj={bj}"
+        )
     dx = [xb - xa for xa, xb in zip(a.x, b.x)]
     sep = math.hypot(*dx)
     u = [c / sep for c in dx]
@@ -246,14 +271,15 @@ def latest_jammer_time(d: int, position=None, tol: float | None = None) -> Lates
 
     For |x1| >= 1 the binary condition caps j_t at the past light cone of
     the nearer measurement, where validity fails, so the window is empty
-    and ``ValueError`` is raised.
+    and ``ValueError`` is raised; so it is, with ``Event``'s wording, for a
+    position that is not finite.
     """
     tol = _resolve_tol(tol)
     if d < 1:
         raise ValueError(f"spatial dimension must be at least 1, got {d}")
     if position is None:
         position = (0.0,) * d
-    position = tuple(float(p) for p in position)
+    position = _as_float_tuple(position)
     if len(position) != d:
         raise ValueError(f"position has dimension {len(position)}, expected {d}")
     x1 = abs(position[0])
@@ -264,8 +290,7 @@ def latest_jammer_time(d: int, position=None, tol: float | None = None) -> Lates
     time = -math.hypot(*position[1:]) + 0.0  # normalize -0.0
     a = Event((-1.0,) + (0.0,) * (d - 1), 0.0)
     b = Event((+1.0,) + (0.0,) * (d - 1), 0.0)
-    cfg = JammingConfiguration(a=a, b=b, j=Event(position, time))
-    attained = validate_configuration(cfg, tol=tol).valid
+    attained = max(_squared_intervals(a, b, Event(position, time))) < -tol
     return LatestJammerResult(time=time, attained=attained, d=d, position=position)
 
 
@@ -372,7 +397,7 @@ def detect_causal_loops(scenario: JamScenario, tol: float | None = None) -> Loop
     """
     tol = _resolve_tol(tol)
     for idx, cfg in enumerate(scenario.configurations):
-        if not validate_configuration(cfg, tol=tol).valid:
+        if not max(_squared_intervals(cfg.a, cfg.b, cfg.j)) < -tol:
             raise ValueError(f"configuration {idx} is not mutually spacelike")
     edges = influence_edges(scenario, tol=tol)
     n = len(scenario.configurations)

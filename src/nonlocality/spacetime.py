@@ -30,10 +30,6 @@ NULL = "null"
 FUTURE = "future"
 PAST = "past"
 
-INSIDE = "inside"
-BOUNDARY = "boundary"
-OUTSIDE = "outside"
-
 
 def _resolve_tol(tol=None, name: str = "tol") -> float:
     """``tol`` as a float, or ``default_tol()`` when it is None.
@@ -176,14 +172,12 @@ def _require_same_dimension(*events: Event) -> int:
     return dims.pop()
 
 
-def interval(e1: Event, e2: Event, tol: float | None = None) -> IntervalClass:
-    """Classify the interval between two events; symmetric in its arguments.
+def _squared_interval(e1: Event, e2: Event) -> float:
+    """s^2 = dt^2 - |dx|^2 between two events of one dimension.
 
     Raises ``ValueError`` naming both events when s^2 is not finite: a time
     or space difference above about 1.3e154 overflows when squared.
     """
-    _require_same_dimension(e1, e2)
-    tol = _resolve_tol(tol)
     dt = e2.t - e1.t
     dx = [q - p for p, q in zip(e1.x, e2.x)]
     s2 = dt * dt - _dot(dx, dx)
@@ -192,13 +186,28 @@ def interval(e1: Event, e2: Event, tol: float | None = None) -> IntervalClass:
             f"the interval between events {e1.to_json()} and {e2.to_json()} "
             f"overflows: s^2 = {s2}"
         )
+    return s2
+
+
+def _interval_kind(s2: float, tol: float) -> str:
+    """Separation class of a squared interval under the tolerance band."""
     if s2 > tol:
-        kind = TIMELIKE
-    elif s2 < -tol:
-        kind = SPACELIKE
-    else:
-        kind = NULL
-    return IntervalClass(kind=kind, squared=s2)
+        return TIMELIKE
+    if s2 < -tol:
+        return SPACELIKE
+    return NULL
+
+
+def interval(e1: Event, e2: Event, tol: float | None = None) -> IntervalClass:
+    """Classify the interval between two events; symmetric in its arguments.
+
+    Raises ``ValueError`` naming both events when s^2 is not finite: a time
+    or space difference above about 1.3e154 overflows when squared.
+    """
+    _require_same_dimension(e1, e2)
+    tol = _resolve_tol(tol)
+    s2 = _squared_interval(e1, e2)
+    return IntervalClass(kind=_interval_kind(s2, tol), squared=s2)
 
 
 def boost(e: Event, b: Boost) -> Event:
@@ -230,17 +239,6 @@ def cone_slack(e: Event, cone: LightCone) -> float:
     if cone.orientation == FUTURE:
         return (e.t - cone.apex.t) - dist
     return (cone.apex.t - e.t) - dist
-
-
-def in_future_cone(e: Event, cone: LightCone, tol: float | None = None) -> str:
-    """Classify an event against a (closed) light cone: inside/boundary/outside."""
-    tol = _resolve_tol(tol)
-    slack = cone_slack(e, cone)
-    if slack > tol:
-        return INSIDE
-    if slack < -tol:
-        return OUTSIDE
-    return BOUNDARY
 
 
 MAX_ORDERING_EVENTS = 8

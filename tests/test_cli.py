@@ -411,6 +411,29 @@ def test_jam_config_with_bad_key_is_input_error(tmp_path, capsys, cfg, key):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("position", ["nan,0", "0.3,nan"])
+def test_jam_latest_non_finite_position_is_input_error(capsys, position):
+    # a NaN x_1 was reported as "the window is empty for |x_1| >= 1"
+    code, out, err = run_cli(capsys, "jam", "--latest", "--d", "2", "--position", position)
+    assert code == 2
+    assert err.startswith("error: coordinates must be finite, got (")
+    assert "window" not in err and "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("mode", [("--latest",), ("--sweep", "--csv", "sweep.csv")])
+@pytest.mark.parametrize("d", ["1000000000000000000", "1000001", "0", "-2", "2.5"])
+def test_jam_unbuildable_dimension_is_input_error(tmp_path, monkeypatch, capsys, mode, d):
+    # (0.0,) * d raised MemoryError: a traceback and exit 1, the false-verdict code
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["jam", *mode, "--d", d])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument --d: expected an integer 1..1000000, got '{d}'" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_jam_config_with_overflowing_interval_is_input_error(tmp_path, capsys):
     # s^2 of aj and bj is inf - inf: both pairs were reported as null, with
     # NaN and -Infinity written into the JSON, and jam exited 1

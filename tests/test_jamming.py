@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -18,24 +19,27 @@ from nonlocality import (
     check_unary,
     chsh,
     detect_causal_loops,
-    in_future_cone,
     influence_edges,
     interval,
     latest_jammer_time,
     validate_configuration,
 )
-from nonlocality.spacetime import NULL, SPACELIKE, cone_slack
+from nonlocality import jamming
+from nonlocality.spacetime import NULL, SPACELIKE, TOL_ENV_VAR, cone_slack
 
 from conftest import (
     apex_check_1d,
     boost_configuration,
     canonical_pair,
     random_boost,
+    random_event,
     random_holding_configuration,
     random_holding_scenario,
+    random_spacelike_pair,
     random_valid_configuration,
 )
 from ridge_oracle import ridge_margin
+import verdict_oracle
 
 
 def cfg_1d(jx, jt):
@@ -306,6 +310,15 @@ def test_latest_jammer_bad_position():
         latest_jammer_time(2, position=(0.0,))
 
 
+@pytest.mark.parametrize("position", [(math.nan,), (math.inf,), (0.3, math.nan), (math.nan, 0.0)])
+def test_latest_jammer_non_finite_position(position):
+    # |nan| < 1 is false, so a NaN x_1 was reported as an empty window
+    want = f"coordinates must be finite, got {position}"
+    with pytest.raises(ValueError) as exc:
+        latest_jammer_time(len(position), position=position)
+    assert str(exc.value) == want
+
+
 # ------------------------------------------------------------ box transform
 
 
@@ -450,7 +463,6 @@ def _tol_calls():
     box = builtin_box("superquantum-eq2")
     return {
         "interval": lambda tol: interval(a, b, tol=tol),
-        "in_future_cone": lambda tol: in_future_cone(cfg.j, LightCone(a), tol=tol),
         "validate_configuration": lambda tol: validate_configuration(cfg, tol=tol),
         "binary_condition": lambda tol: binary_condition(cfg, tol=tol),
         "latest_jammer_time": lambda tol: latest_jammer_time(2, (0.3, 0.4), tol=tol),
@@ -470,3 +482,117 @@ def test_tolerance_must_be_finite_and_positive(call, value):
     fn(1e-9)
     with pytest.raises(ValueError, match="tol must be a finite number > 0"):
         fn(value)
+
+
+# ------------------------------------------------- one-pass verdicts, oracle
+
+
+def _bits(value):
+    """Comparable form of a verdict: floats by ``float.hex``, dataclasses
+    field by field, tuples item by item."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            (f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value)
+        )
+    if isinstance(value, tuple):
+        return tuple(_bits(item) for item in value)
+    return value
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", _bits(fn(*args, **kwargs))
+    except Exception as exc:  # compared by type and text
+        return type(exc).__name__, str(exc)
+
+
+def _shifted(e, dx, dt):
+    return Event(tuple(p + q for p, q in zip(e.x, dx)), e.t + dt)
+
+
+def _near_null(rng, e, d, band):
+    """An event whose s^2 to ``e`` lies within about +-2 band of 0."""
+    n = rng.normal(size=d)
+    n /= max(np.linalg.norm(n), 1e-12)
+    r = rng.uniform(0.5, 3.0)
+    eps = rng.uniform(-2.0, 2.0) * band / (2.0 * r * r)
+    return _shifted(e, r * n, r * (1.0 + eps) * rng.choice([-1.0, 1.0]))
+
+
+def _oracle_triples(rng, d, band):
+    """Configurations in general frames, with a pair within +-2 band of
+    null, with a timelike pair, and with overflowing s^2."""
+    out = []
+    for _ in range(12):
+        out.append(random_valid_configuration(rng, d))
+        out.append(random_holding_configuration(rng, d))
+        a, b = random_spacelike_pair(rng, d)
+        out.append(JammingConfiguration(a=a, b=b, j=random_event(rng, d)))
+        cfg = random_valid_configuration(rng, d)
+        near = _near_null(rng, cfg.a if rng.random() < 0.5 else cfg.b, d, band)
+        out.append(dataclasses.replace(cfg, j=near))
+        out.append(dataclasses.replace(cfg, b=_near_null(rng, cfg.a, d, band)))
+        out.append(dataclasses.replace(cfg, j=_shifted(cfg.a, 0.1 * rng.normal(size=d), 2.0)))
+        big = 1e160 * rng.uniform(0.5, 2.0)
+        far = Event(tuple(big * rng.normal(size=d)), big * rng.normal())
+        out.append(dataclasses.replace(cfg, j=far))
+        out.append(JammingConfiguration(
+            a=Event(tuple(big * c for c in cfg.a.x), big * cfg.a.t),
+            b=Event(tuple(big * c for c in cfg.b.x), big * cfg.b.t),
+            j=Event(tuple(big * c for c in cfg.j.x), big * cfg.j.t),
+        ))
+    return out
+
+
+def _oracle_positions(rng, d, band):
+    out = [tuple(rng.uniform(-1.5, 1.5, size=d)) for _ in range(20)]
+    for _ in range(20):
+        x1 = rng.choice([-1.0, 1.0]) * (1.0 - rng.uniform(0.0, 3.0) * band)
+        out.append((x1, *rng.uniform(-1.0, 1.0, size=d - 1)))
+    return [tuple(map(float, p)) for p in out]
+
+
+# (NONLOCALITY_TOL, tol argument, width of the near-null band)
+_ORACLE_SETTINGS = [
+    (None, None, 1e-9), (None, 1e-12, 1e-12), (None, 1e-3, 1e-3), (None, 0.0, 1e-9),
+    ("1e-3", None, 1e-3), ("2.5e-7", None, 2.5e-7), ("1e-3", 1e-9, 1e-9), ("nan", None, 1e-9),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_pass_verdicts_match_oracle(monkeypatch, d):
+    rng = np.random.default_rng(1300 + d)
+    seen = set()
+    for env, tol, band in _ORACLE_SETTINGS:
+        # the generators validate under the default tolerance
+        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+        triples = _oracle_triples(rng, d, band)
+        positions = _oracle_positions(rng, d, band)
+        if env is not None:
+            monkeypatch.setenv(TOL_ENV_VAR, env)
+        for cfg in triples:
+            for name in ("validate_configuration", "binary_condition"):
+                got = _outcome(getattr(jamming, name), cfg, tol=tol)
+                want = _outcome(getattr(verdict_oracle, name), cfg, tol=tol)
+                assert got == want, (name, cfg, env, tol)
+                fields = dict(got[1][1]) if got[0] == "ok" else {}
+                seen.add((name, got[0], fields.get("holds", fields.get("on_boundary"))))
+        for _ in range(40):
+            picks = rng.choice(len(triples), size=int(rng.integers(1, 5)), replace=False)
+            scenario = JamScenario(tuple(triples[i] for i in picks))
+            got = _outcome(jamming.detect_causal_loops, scenario, tol=tol)
+            assert got == _outcome(verdict_oracle.detect_causal_loops, scenario, tol=tol)
+            seen.add(("detect_causal_loops", got[0], None))
+        for position in positions:
+            got = _outcome(jamming.latest_jammer_time, d, position, tol=tol)
+            assert got == _outcome(verdict_oracle.latest_jammer_time, d, position, tol=tol)
+            seen.add(("latest_jammer_time", got[0], None))
+    # every branch was compared: holding and failing verdicts, j on and off
+    # the boundary, errors
+    assert {("binary_condition", "ok", True), ("binary_condition", "ok", False),
+            ("binary_condition", "ValueError", None), ("validate_configuration", "ok", True),
+            ("validate_configuration", "ok", False), ("validate_configuration", "ValueError", None), ("detect_causal_loops", "ok", None),
+            ("detect_causal_loops", "ValueError", None), ("latest_jammer_time", "ok", None),
+            ("latest_jammer_time", "ValueError", None)} <= seen
