@@ -41,6 +41,7 @@ _EXPORTS = {
         "check_unary",
         "chsh",
         "chsh_at_angles",
+        "chsh_forms",
         "classify_chsh",
         "enumerate_deterministic",
         "maximize_chsh",
@@ -64,7 +65,6 @@ _EXPORTS = {
         "Boost",
         "Event",
         "IntervalClass",
-        "LightCone",
         "achievable_orderings",
         "boost",
         "default_tol",

@@ -8,7 +8,9 @@ inputs and seeds give byte-identical JSON) or as text lines: the envelope
 dataclass, ``results`` holds its fields in declaration order (the text line
 order), with tuples written as lists and events as ``[x..., t]``. Exit
 codes: 0 on success, 1 when a checked claim fails (a verdict is false), 2
-on input errors.
+on input errors. Any option takes a dash-leading number as its value,
+in every form ``float()`` reads: ``--position -0.4,1.6``, ``--tol -1e-9``,
+``--v -inf,0``, also as ``OPT=VALUE`` or under an abbreviated option name.
 
 Only the subcommands that work on boxes or correlation models import
 ``correlations``, and with it numpy: ``chsh``, ``nosig``, ``sample`` and
@@ -25,6 +27,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -40,16 +43,16 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_sweep_range(text: str) -> tuple[float, float, int]:
-    """``lo,hi,n`` for ``jam --sweep``: finite bounds and an integer count n >= 0."""
+    """``lo,hi,n`` for ``jam --sweep``: finite bounds and a count n 0.._MAX_COUNT."""
     parts = text.split(",")
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        ok = len(parts) == 3 and n >= 0 and math.isfinite(lo) and math.isfinite(hi)
-    except (ValueError, IndexError):
+        lo, hi, n = float(parts[0]), float(parts[1]), _parse_count(parts[2])
+        ok = len(parts) == 3 and math.isfinite(lo) and math.isfinite(hi)
+    except (ValueError, IndexError, argparse.ArgumentTypeError):
         ok = False
     if not ok:
         raise argparse.ArgumentTypeError(
-            f"expected lo,hi,n with finite lo, hi and an integer n >= 0; got {text!r}"
+            f"expected lo,hi,n with finite lo, hi and an integer n 0..{_MAX_COUNT}; got {text!r}"
         )
     return lo, hi, n
 
@@ -79,23 +82,28 @@ def _parse_tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-# Largest ``jam --d``. The geometry modes build tuples of d coordinates before
-# any other check, so an unbounded d ran out of memory (MemoryError, exit 1)
-# instead of failing as an input error.
-_MAX_DIMENSION = 1_000_000
+# Largest count an option takes: ``jam --d``, ``chsh --curve`` and the n of
+# ``jam --sweep-range``. The geometry modes build tuples of d coordinates, and
+# the curve and the sweep build all their points, before any other check, so
+# an unbounded count ran out of memory (MemoryError, exit 1) instead of
+# failing as an input error.
+_MAX_COUNT = 1_000_000
+
+
+def _parse_count(text: str, lo: int = 0) -> int:
+    """A count option's value: an integer lo.._MAX_COUNT."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = lo - 1
+    if not lo <= n <= _MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"expected an integer {lo}..{_MAX_COUNT}, got {text!r}")
+    return n
 
 
 def _parse_dimension(text: str) -> int:
-    """``jam --d``: the spatial dimension, an integer 1.._MAX_DIMENSION."""
-    try:
-        d = int(text)
-    except ValueError:
-        d = 0
-    if not 1 <= d <= _MAX_DIMENSION:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer 1..{_MAX_DIMENSION}, got {text!r}"
-        )
-    return d
+    """``jam --d``: the spatial dimension, an integer 1.._MAX_COUNT."""
+    return _parse_count(text, 1)
 
 
 def _parse_deterministic(text: str) -> str:
@@ -203,10 +211,11 @@ def _jsonable(value):
 # turns the report objects in them into JSON data with _jsonable
 
 
-def _chsh_results(res) -> dict:
+def _chsh_results(res, largest: float) -> dict:
+    """The value and terms of ``res``, classified by the CHSH sum ``largest``."""
     from . import correlations as corr
 
-    return {"value": res.value, "terms": res.terms, "classification": corr.classify_chsh(res.value)}
+    return {"value": res.value, "terms": res.terms, "classification": corr.classify_chsh(largest)}
 
 
 def _cmd_chsh(args):
@@ -236,7 +245,10 @@ def _cmd_chsh(args):
     if args.box or args.builtin:
         box = _load_box(args)
         params["box"] = args.box or args.builtin
-        return _chsh_results(corr.chsh(box)), params, True
+        # the stated form reads 0 on a relabelled PR box: classify by the
+        # largest |S| of the four forms
+        largest = max(abs(s) for s in corr.chsh_forms(box))
+        return _chsh_results(corr.chsh(box), largest), params, True
 
     model = _model_from_args(args)
     params["model"] = model
@@ -262,7 +274,8 @@ def _cmd_chsh(args):
         return results, params, True
     angles = _parse_angles(args.angles or "eq2")
     params["angles"] = angles
-    return _chsh_results(corr.chsh_at_angles(model, *angles)), params, True
+    res = corr.chsh_at_angles(model, *angles)
+    return _chsh_results(res, res.value), params, True
 
 
 def _cmd_nosig(args):
@@ -376,8 +389,25 @@ def _cmd_sample(args):
 # Parser and entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """``ArgumentParser`` that reads a dash-leading number as a value.
+
+    argparse takes an argument for a value when its private
+    ``_negative_number_matcher`` matches and no option looks like a negative
+    number; its own pattern matches a bare decimal only (``-1``, ``-.5``), so
+    ``-0.4,1.6``, ``-1e-05`` or ``-inf,0`` read as unknown options. Here it
+    matches everything ``float()`` reads after a minus sign. Subparsers are
+    built from this class too, as ``add_subparsers`` defaults to the type of
+    its parser.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonlocality",
         description="Superquantum correlations and the jamming model: "
         "CHSH bounds, no-signalling checks, and causal-order geometry.",
@@ -399,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="'all' or a strategy id 0..15")
     p.add_argument("--box", help="box JSON file")
     p.add_argument("--builtin", help="a builtin box name")
-    p.add_argument("--curve", type=int, help="emit an E(theta) curve with N points")
+    p.add_argument("--curve", type=_parse_count,
+                   help=f"emit an E(theta) curve with N points, an integer 0..{_MAX_COUNT}")
     p.add_argument("--csv", help="CSV output path for --curve")
     common(p)
 
@@ -414,14 +445,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="configuration JSON file")
     p.add_argument("--latest", action="store_true", help="latest jammer time sweep")
     p.add_argument("--d", type=_parse_dimension, default=1,
-                   help=f"spatial dimension, an integer 1..{_MAX_DIMENSION}")
+                   help=f"spatial dimension, an integer 1..{_MAX_COUNT}")
     p.add_argument("--position", help="jammer spatial position, comma-separated")
     p.add_argument("--sweep", action="store_true", help="margin vs jammer time CSV")
     p.add_argument(
         "--sweep-range",
         type=_parse_sweep_range,
         default=(-1.5, 1.5, 121),
-        help="lo,hi,n (n an integer >= 0; lo may be negative)",
+        help=f"lo,hi,n (n an integer 0..{_MAX_COUNT}; lo may be negative)",
     )
     p.add_argument("--csv", help="CSV output path for --sweep")
     p.add_argument("--scenario", help="multi-jammer scenario JSON file")
@@ -501,42 +532,8 @@ def _fmt_scalar(value) -> str:
     return str(value)
 
 
-# Options whose value is a comma-separated number list. argparse's
-# negative-number pattern matches a bare decimal only, so it takes a value
-# such as "-0.4,1.6" or "-1e-05" for an option string. ``main`` therefore
-# passes each of these options its value as ``OPT=VALUE``, also when the
-# option is given by a unique prefix of its name, as argparse allows.
-_NUMBER_LIST_OPTIONS = frozenset({"--angles", "--position", "--sweep-range", "--v"})
-
-
-def _attach_number_lists(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Rewrite ``OPT VALUE`` as ``OPT=VALUE`` for the number-list options,
-    where OPT may also be a unique prefix of one of the subcommand's options."""
-    command = next((token for token in argv if not token.startswith("-")), None)
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subparsers.choices.get(command)
-    options = sub._option_string_actions if sub is not None else {}
-    out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        name = token
-        if token.startswith("--") and token not in options:
-            matches = [o for o in options if o.startswith(token)]
-            if len(matches) == 1:
-                name = matches[0]
-        if name in _NUMBER_LIST_OPTIONS and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
-            token = f"{name}={argv[i + 1]}"
-            i += 1
-        out.append(token)
-        i += 1
-    return out
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args, unknown = parser.parse_known_args(_attach_number_lists(parser, argv))
+    args, unknown = _build_parser().parse_known_args(argv)
     if unknown:
         print(f"error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
         return 2

@@ -205,6 +205,24 @@ def chsh(box: NoSignallingBox) -> ChshResult:
     return ChshResult(value=e00 + e01 + e10 - e11, terms=(e00, e01, e10, e11))
 
 
+def chsh_forms(box: NoSignallingBox) -> tuple[float, float, float, float]:
+    """The four CHSH sums of ``box``, with the minus sign on E(A,B), E(A,B'),
+    E(A',B) and E(A',B') in turn; the last is ``chsh(box).value``.
+
+    A no-signalling box has a local model iff every |S| <= 2 (Fine, Phys.
+    Rev. Lett. 48, 291 (1982)), so the largest |S| classifies a box: a PR
+    box with its outcomes or settings relabelled reads 0 in the stated form
+    and 4 in another.
+    """
+    (e00, e01), (e10, e11) = box.correlations().tolist()
+    return (
+        -e00 + e01 + e10 + e11,
+        e00 - e01 + e10 + e11,
+        e00 + e01 - e10 + e11,
+        e00 + e01 + e10 - e11,
+    )
+
+
 def classify_chsh(value: float, tol: float = 1e-6) -> str:
     """Place |value| against the classical, quantum and algebraic bounds."""
     a = abs(value)
@@ -653,6 +671,10 @@ class SampleReport:
     std_error: float
 
 
+# Largest n: numpy's multinomial draw takes an int64 count
+_MAX_SAMPLES = int(np.iinfo(np.int64).max)
+
+
 def sample_outcomes(box: NoSignallingBox, n: int, seed: int) -> SampleReport:
     """Draw n outcome pairs per setting pair and estimate the CHSH sum.
 
@@ -663,6 +685,8 @@ def sample_outcomes(box: NoSignallingBox, n: int, seed: int) -> SampleReport:
     n = _json_number(n, "n", integer=True)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > _MAX_SAMPLES:
+        raise ValueError(f"n must be <= {_MAX_SAMPLES}, numpy's int64 limit, got {n}")
     seed = _json_number(seed, "seed", integer=True)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

@@ -37,12 +37,10 @@ import math
 from dataclasses import dataclass
 
 from .spacetime import (
-    FUTURE,
     NULL,
     SPACELIKE,
     Event,
     IntervalClass,
-    LightCone,
     _as_float_tuple,
     _interval_kind,
     _json_number,
@@ -342,17 +340,10 @@ def influence_edges(scenario: JamScenario, tol: float | None = None) -> list[tup
     """
     tol = _resolve_tol(tol)
     edges = []
-    cones = [
-        (LightCone(c.a, FUTURE), LightCone(c.b, FUTURE)) for c in scenario.configurations
-    ]
-    for i, (cone_a, cone_b) in enumerate(cones):
-        for k, cfg_k in enumerate(scenario.configurations):
-            if i == k:
-                continue
-            if (
-                cone_slack(cfg_k.j, cone_a) >= -tol
-                and cone_slack(cfg_k.j, cone_b) >= -tol
-            ):
+    configs = scenario.configurations
+    for i, c in enumerate(configs):
+        for k, cfg_k in enumerate(configs):
+            if i != k and cone_slack(cfg_k.j, c.a) >= -tol and cone_slack(cfg_k.j, c.b) >= -tol:
                 edges.append((i, k))
     return edges
 

@@ -27,9 +27,6 @@ TIMELIKE = "timelike"
 SPACELIKE = "spacelike"
 NULL = "null"
 
-FUTURE = "future"
-PAST = "past"
-
 
 def _resolve_tol(tol=None, name: str = "tol") -> float:
     """``tol`` as a float, or ``default_tol()`` when it is None.
@@ -155,16 +152,6 @@ class IntervalClass:
     squared: float
 
 
-@dataclass(frozen=True)
-class LightCone:
-    apex: Event
-    orientation: str = FUTURE
-
-    def __post_init__(self):
-        if self.orientation not in (FUTURE, PAST):
-            raise ValueError(f"orientation must be '{FUTURE}' or '{PAST}'")
-
-
 def _require_same_dimension(*events: Event) -> int:
     dims = {e.d for e in events}
     if len(dims) != 1:
@@ -227,18 +214,14 @@ def boost(e: Event, b: Boost) -> Event:
     return Event(tuple(x + k * c for x, c in zip(e.x, b.v)), g * (e.t - vdotx))
 
 
-def cone_slack(e: Event, cone: LightCone) -> float:
-    """Signed distance-to-surface proxy: positive inside, negative outside.
-
-    For a future cone this is (e.t - apex.t) - |e.x - apex.x|; the mirror
-    expression for a past cone. Membership in the closed cone is slack >= 0
-    up to tolerance.
+def cone_slack(e: Event, apex: Event) -> float:
+    """Signed distance-to-surface proxy for the future cone of ``apex``:
+    (e.t - apex.t) - |e.x - apex.x|, positive inside, negative outside.
+    Membership in the closed cone is slack >= 0 up to tolerance. Swapping
+    the arguments, ``cone_slack(apex, e)``, gives the past cone of ``apex``.
     """
-    _require_same_dimension(e, cone.apex)
-    dist = math.dist(e.x, cone.apex.x)
-    if cone.orientation == FUTURE:
-        return (e.t - cone.apex.t) - dist
-    return (cone.apex.t - e.t) - dist
+    _require_same_dimension(e, apex)
+    return (e.t - apex.t) - math.dist(e.x, apex.x)
 
 
 MAX_ORDERING_EVENTS = 8

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 import nonlocality
 from nonlocality import box_from_correlation, builtin_box, product_box
@@ -19,6 +22,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run_cli(capsys, *args):
     code = main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_any(capsys, *args):
+    """``run_cli``, with argparse's exit on a bad argument read as its code."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -76,6 +89,43 @@ def test_chsh_box_file(tmp_path, capsys):
     code, report = run_json(capsys, "chsh", "--box", path)
     assert code == 0
     assert report["results"]["value"] == 4.0
+
+
+# correlations [[E(A,B), E(A,B')], [E(A',B), E(A',B')]] of the eight PR boxes:
+# an odd number of -1 entries
+_PR_CORRELATIONS = [e for e in itertools.product((1.0, -1.0), repeat=4) if math.prod(e) < 0]
+
+
+@pytest.mark.parametrize("e", _PR_CORRELATIONS)
+def test_chsh_box_classifies_every_pr_box_as_superquantum(tmp_path, capsys, e):
+    # the stated form reads 0 on six of the eight, which were reported classical
+    path = write_json(tmp_path / "box.json", box_from_correlation([e[:2], e[2:]]).to_json())
+    code, report = run_json(capsys, "chsh", "--box", path)
+    assert code == 0
+    assert report["results"]["classification"] == "superquantum"
+    assert report["results"]["value"] == e[0] + e[1] + e[2] - e[3]
+    assert report["results"]["terms"] == list(e)
+
+
+@pytest.mark.parametrize("sid", range(16))
+def test_chsh_box_classifies_every_deterministic_box_as_classical(tmp_path, capsys, sid):
+    path = write_json(tmp_path / "box.json", corr.enumerate_deterministic()[sid].box.to_json())
+    code, report = run_json(capsys, "chsh", "--box", path)
+    assert code == 0
+    assert report["results"]["classification"] == "classical"
+
+
+@pytest.mark.parametrize("value", ["-5", "1000001", "100000000", "2.5", "1e3", "x"])
+def test_chsh_curve_count_out_of_range_is_input_error(tmp_path, capsys, value):
+    # -5 wrote a CSV with only a header and exited 0; 100000000 built the
+    # whole curve first and ended in a MemoryError traceback under a memory limit
+    out = tmp_path / "curve.csv"
+    code, stdout, err = run_any(
+        capsys, "chsh", "--model", "singlet", "--curve", value, "--csv", str(out)
+    )
+    assert code == 2 and stdout == ""
+    assert f"argument --curve: expected an integer 0..1000000, got '{value}'" in err
+    assert not out.exists()
 
 
 def test_chsh_explicit_angles(capsys):
@@ -385,6 +435,68 @@ def test_ambiguous_abbreviation_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# A dash-leading value of each number option, in the three forms argparse
+# reads: OPT VALUE, OPT=VALUE and OPT abbreviated to a unique prefix (None
+# where the name has no shorter prefix). Each form hands the value to the
+# option's own parser, so all three give the same report or the same error.
+_DASH_LEADING = [
+    (("jam", "--latest", "--d", "2"), "--position", "-0.4,1.6", "--pos", 0),
+    (("jam", "--latest", "--d", "2"), "--position", "-.5,-1e-05", "--po", 0),
+    (("chsh", "--model", "singlet"), "--angles", "-0.1,-.5,-1e-05,1", "--ang", 0),
+    (("boost", "--events", "ev.json"), "--v", "-0.5,-1e-05", None, 0),
+    (("jam", "--sweep", "--csv", "sweep.csv"), "--sweep-range", "-1,-1e-1,5", "--sweep-r", 0),
+    (("jam", "--builtin", "superquantum-eq2"), "--strength", "-0e-3", "--str", 0),
+    (("jam", "--builtin", "superquantum-eq2"), "--strength", "-1e-05", "--str", 2),
+    (("jam", "--latest", "--d", "2"), "--tol", "-1e-9", "--to", 2),
+    (("nosig", "--builtin", "uniform"), "--tol", "-Infinity", "--to", 2),
+]
+
+
+@pytest.mark.parametrize("args,option,value,prefix,code", _DASH_LEADING,
+                         ids=[f"{o}={v}" for _, o, v, _, _ in _DASH_LEADING])
+def test_number_options_take_dash_leading_values(tmp_path, monkeypatch, capsys, args, option,
+                                                 value, prefix, code):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "ev.json", [[1.0, 0.5, 0.0]])
+    forms = [(option, value), (f"{option}={value}",)] + ([(prefix, value)] if prefix else [])
+    runs = []
+    for form in forms:
+        got = run_any(capsys, *args, *form, "--format", "json")
+        csv_out = tmp_path / "sweep.csv"
+        runs.append((*got, csv_out.read_text() if csv_out.exists() else None))
+        csv_out.unlink(missing_ok=True)
+    assert all(run == runs[0] for run in runs)
+    got, out, err, _ = runs[0]
+    assert got == code
+    assert "expected one argument" not in err and "Traceback" not in err
+    if code == 0:
+        parsed = [float(v) for v in value.split(",")]
+        echo = json.loads(out)["params"][option[2:].replace("-", "_")]
+        assert echo == (parsed if "," in value else parsed[0])
+    else:
+        assert option[2:] in err and out == ""
+
+
+def test_jam_tol_in_exponent_notation_is_read_by_its_parser(capsys):
+    # argparse took -1e-9 for an option and said "expected one argument"
+    code, out, err = run_any(capsys, "jam", "--latest", "--d", "2", "--tol", "-1e-9")
+    assert code == 2 and out == ""
+    assert "argument --tol: value must be a finite number > 0, got '-1e-9'" in err
+
+
+@pytest.mark.parametrize("position", ["-inf,0", "-nan,0.3", "-Infinity,0", "-INF,1"])
+def test_jam_latest_dash_leading_non_finite_position_is_input_error(capsys, position):
+    code, out, err = run_any(capsys, "jam", "--latest", "--d", "2", "--position", position)
+    assert code == 2 and out == ""
+    assert err.startswith("error: coordinates must be finite, got (")
+
+
+def test_dash_leading_value_that_is_not_a_number_is_an_option(capsys):
+    code, out, err = run_any(capsys, "jam", "--latest", "--d", "2", "--position", "-abc")
+    assert code == 2 and out == ""
+    assert "argument --position: expected one argument" in err
+
+
 def test_jam_config_without_jammer_is_input_error(tmp_path, capsys):
     path = write_json(tmp_path / "cfg.json", {"a": [-1.0, 0.0], "b": [1.0, 0.0], "d": 1})
     code, out, err = run_cli(capsys, "jam", "--config", path)
@@ -491,6 +603,17 @@ def test_jam_sweep_range_malformed_is_input_error(tmp_path, capsys, value):
     assert exc.value.code == 2
     assert "--sweep-range" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0,1,1000001", "0,1,100000000", "-1,1,-5"])
+def test_jam_sweep_count_out_of_range_is_input_error(tmp_path, capsys, value):
+    # 100000000 built every jammer time first: a MemoryError traceback under a memory limit
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_any(capsys, "jam", "--sweep", "--sweep-range", value, "--csv", str(out))
+    assert code == 2 and stdout == ""
+    assert ("argument --sweep-range: expected lo,hi,n with finite lo, hi and an integer "
+            f"n 0..1000000; got '{value}'") in err
     assert not out.exists()
 
 
@@ -669,6 +792,18 @@ def test_sample_negative_seed_names_the_argument(capsys):
     assert "seed must be >= 0, got -1" in err
 
 
+def test_sample_count_beyond_int64_is_input_error(capsys):
+    # numpy's multinomial raised OverflowError: a traceback and exit 1
+    code, out, err = run_cli(
+        capsys, "sample", "--builtin", "uniform", "--n", "100000000000000000000", "--seed", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: n must be <= 9223372036854775807, numpy's int64 limit, "
+        "got 100000000000000000000\n"
+    )
+
+
 # ------------------------------------------------------------------ general
 
 
@@ -755,6 +890,66 @@ def test_json_number_that_is_not_a_number_is_input_error(tmp_path, capsys, args,
 def test_bad_angles_is_input_error(capsys):
     code, out, err = run_cli(capsys, "chsh", "--model", "singlet", "--angles", "1,2")
     assert code == 2
+
+
+# Values for the fuzz test: dash-leading numbers, nan/inf, out-of-range and
+# oversized integers, and junk. Every count drawn is either at most 12 or
+# out of range, so no draw builds a large curve, sweep or sample.
+_FUZZ_TOKENS = hst.one_of(
+    hst.sampled_from([
+        "-0.4", "-.5", "-1e-05", "-1e-9", "-0", "-inf", "-nan", "-Infinity", "nan", "inf",
+        "1e309", "1000001", "100000000", "100000000000000000000", "9" * 5000, "-abc", "",
+    ]),
+    hst.integers(-3, 12).map(str),
+    hst.floats().map(repr),
+    hst.text(alphabet="-.,eE+_ abcfinx", max_size=8),
+)
+_FUZZ_VALUES = hst.one_of(_FUZZ_TOKENS, hst.lists(_FUZZ_TOKENS, min_size=2, max_size=4).map(",".join))
+
+# cheap subcommands, each with the options whose values are drawn
+_FUZZ_COMMANDS = [
+    (("jam", "--latest"), ("--d", "--position", "--tol")),
+    (("jam", "--sweep", "--csv", "{tmp}/sweep.csv"), ("--d", "--position", "--sweep-range", "--tol")),
+    (("jam", "--config", "{tmp}/fail.json"), ("--tol",)),
+    (("jam", "--builtin", "superquantum-eq2"), ("--strength",)),
+    (("chsh", "--model", "singlet"), ("--angles",)),
+    (("chsh", "--model", "superquantum", "--csv", "{tmp}/curve.csv"), ("--curve",)),
+    (("nosig", "--box", "{tmp}/sig.json"), ("--tol",)),
+    (("sample", "--builtin", "uniform"), ("--n", "--seed")),
+    (("boost", "--events", "{tmp}/ev.json"), ("--v",)),
+]
+
+
+@hst.composite
+def _fuzz_argv(draw):
+    base, options = draw(hst.sampled_from(_FUZZ_COMMANDS))
+    argv = list(base)
+    for option in options:
+        if draw(hst.booleans()):
+            value = draw(_FUZZ_VALUES)
+            argv += [f"{option}={value}"] if draw(hst.booleans()) else [option, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_argv())
+def test_fuzzed_options_end_in_a_report_or_an_input_error(tmp_path, capsys, argv):
+    write_json(tmp_path / "fail.json", {"a": [0.0, 0.0], "b": [2.0, 0.5], "j": [5.0, 1.0]})
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[0, 0] = [[0.45, 0.45], [0.05, 0.05]]
+    write_json(tmp_path / "sig.json", {"P": probs.tolist()})
+    write_json(tmp_path / "ev.json", [[1.0, 0.5, 0.0]])
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = run_any(capsys, *argv, "--format", "json")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+    else:
+        report = json.loads(out)
+        assert set(report) == {"command", "params", "results", "ok", "duration_s"}
+        assert report["ok"] is (code == 0)
 
 
 def test_report_json_roundtrips(capsys):

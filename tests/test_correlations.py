@@ -25,6 +25,7 @@ from nonlocality import (
     check_unary,
     chsh,
     chsh_at_angles,
+    chsh_forms,
     classify_chsh,
     enumerate_deterministic,
     maximize_chsh,
@@ -419,6 +420,21 @@ def test_chsh_capped_at_four_for_random_boxes(rng):
         assert abs(chsh(NoSignallingBox(raw)).value) <= 4.0 + 1e-12
 
 
+def test_chsh_forms_place_the_minus_sign_on_each_term(rng):
+    # PR box E = [[-1, 1], [1, 1]]: the stated form reads 0, the first one 4
+    assert chsh_forms(box_from_correlation([[-1.0, 1.0], [1.0, 1.0]])) == (4.0, 0.0, 0.0, 0.0)
+    assert max(abs(v) for s in enumerate_deterministic() for v in chsh_forms(s.box)) == 2.0
+    for _ in range(100):
+        box = NoSignallingBox(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2))
+        forms = chsh_forms(box)
+        assert forms[3] == chsh(box).value  # bit for bit
+        e = box.correlations()
+        for k, value in enumerate(forms):
+            signs = np.ones(4)
+            signs[k] = -1.0
+            assert value == pytest.approx(float(signs @ e.ravel()), abs=1e-12)
+
+
 def test_mixtures_of_deterministic_stay_classical(rng):
     boxes = [s.box for s in enumerate_deterministic()]
     for _ in range(300):
@@ -716,6 +732,21 @@ def test_sampling_rejects_bad_n_and_seed(n, seed, message):
     # estimated 1.2 instead of 2.0
     with pytest.raises(ValueError, match=message):
         sample_outcomes(builtin_box("perfect"), n, seed)
+
+
+@pytest.mark.parametrize("n", [2**63, 10**20])
+def test_sampling_rejects_counts_beyond_int64(n):
+    # numpy's multinomial raised OverflowError, which the CLI reported as a
+    # traceback and exit 1
+    with pytest.raises(ValueError, match=r"^n must be <= 9223372036854775807, "):
+        sample_outcomes(builtin_box("uniform"), n, seed=1)
+
+
+@pytest.mark.parametrize("n", [2**62, 2**63 - 1])
+def test_sampling_takes_the_largest_int64_counts(n):
+    report = sample_outcomes(builtin_box("perfect"), n, seed=1)
+    assert report.n_per_pair == n
+    assert report.chsh_estimate == 2.0
 
 
 def test_sampling_takes_integral_numbers():

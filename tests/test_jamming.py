@@ -10,7 +10,6 @@ from nonlocality import (
     Event,
     JammingConfiguration,
     JamScenario,
-    LightCone,
     apply_jamming,
     binary_condition,
     box_from_correlation,
@@ -131,9 +130,9 @@ def test_binary_2d_above_origin_fails():
     assert verdict.margin == pytest.approx(-0.1, abs=1e-9)
     w = verdict.witness
     # witness lies in the (closed) overlap and outside the jammer's cone
-    assert cone_slack(w, LightCone(Event((-1.0, 0.0), 0.0))) >= -1e-9
-    assert cone_slack(w, LightCone(Event((1.0, 0.0), 0.0))) >= -1e-9
-    assert cone_slack(w, LightCone(Event((0.0, 0.0), 0.1))) < -1e-9
+    assert cone_slack(w, Event((-1.0, 0.0), 0.0)) >= -1e-9
+    assert cone_slack(w, Event((1.0, 0.0), 0.0)) >= -1e-9
+    assert cone_slack(w, Event((0.0, 0.0), 0.1)) < -1e-9
 
 
 def test_binary_requires_mutually_spacelike():
@@ -198,7 +197,7 @@ def _sample_overlap_point(rng, cfg, t_max=50.0):
         center = (np.asarray(a.x) + np.asarray(b.x)) / 2.0
         x = center + rng.uniform(-t_max, t_max, size=cfg.d)
         e = Event(tuple(x), t)
-        if cone_slack(e, LightCone(a)) >= 0.0 and cone_slack(e, LightCone(b)) >= 0.0:
+        if cone_slack(e, a) >= 0.0 and cone_slack(e, b) >= 0.0:
             return e
 
 
@@ -208,10 +207,9 @@ def test_binary_monte_carlo_soundness(rng):
         cfg = random_holding_configuration(rng, d, allow_boost=False)
         verdict = binary_condition(cfg)
         assert verdict.holds
-        cone_j = LightCone(cfg.j)
         for _ in range(100):
             p = _sample_overlap_point(rng, cfg)
-            assert cone_slack(p, cone_j) >= -1e-9
+            assert cone_slack(p, cfg.j) >= -1e-9
 
 
 def test_binary_witness_is_sound(rng):
@@ -224,9 +222,9 @@ def test_binary_witness_is_sound(rng):
             continue
         w = verdict.witness
         assert w is not None
-        assert cone_slack(w, LightCone(cfg.a)) >= -1e-7
-        assert cone_slack(w, LightCone(cfg.b)) >= -1e-7
-        assert cone_slack(w, LightCone(cfg.j)) < 1e-9
+        assert cone_slack(w, cfg.a) >= -1e-7
+        assert cone_slack(w, cfg.b) >= -1e-7
+        assert cone_slack(w, cfg.j) < 1e-9
         found += 1
     assert found > 50
 
@@ -249,9 +247,9 @@ def test_binary_closed_form_matches_ridge_search():
         assert verdict.holds == (oracle >= -1e-9)
         if not verdict.holds:
             w = verdict.witness
-            assert cone_slack(w, LightCone(cfg.a)) >= -1e-7
-            assert cone_slack(w, LightCone(cfg.b)) >= -1e-7
-            assert cone_slack(w, LightCone(cfg.j)) < 0.0
+            assert cone_slack(w, cfg.a) >= -1e-7
+            assert cone_slack(w, cfg.b) >= -1e-7
+            assert cone_slack(w, cfg.j) < 0.0
     assert worst <= 1e-9
 
 
@@ -407,9 +405,9 @@ def test_two_configurations_one_edge():
     )
     # independent membership computation
     j2 = second.j
-    assert cone_slack(j2, LightCone(first.a)) >= 0
-    assert cone_slack(j2, LightCone(first.b)) >= 0
-    assert cone_slack(first.j, LightCone(second.a)) < 0
+    assert cone_slack(j2, first.a) >= 0
+    assert cone_slack(j2, first.b) >= 0
+    assert cone_slack(first.j, second.a) < 0
     scenario = JamScenario((first, second))
     report = detect_causal_loops(scenario)
     assert report.acyclic
