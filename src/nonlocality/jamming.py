@@ -270,8 +270,10 @@ def latest_jammer_time(d: int, position=None, tol: float | None = None) -> Lates
     For |x1| >= 1 the binary condition caps j_t at the past light cone of
     the nearer measurement, where validity fails, so the window is empty
     and ``ValueError`` is raised; so it is, with ``Event``'s wording, for a
-    position that is not finite.
+    position that is not finite, and for a ``d`` that is not an integer (a
+    bool or a string included).
     """
+    d = _json_number(d, "d", integer=True)
     tol = _resolve_tol(tol)
     if d < 1:
         raise ValueError(f"spatial dimension must be at least 1, got {d}")

@@ -72,13 +72,31 @@ def _json_number(value, name: str, integer: bool = False):
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"coordinates must be finite, got {out}")
-    return out
+    """``values`` as a tuple of finite floats; ``ValueError`` naming the
+    value for a string, bytes or a non-iterable, and for a coordinate that
+    is not finite."""
+    if not isinstance(values, (str, bytes, bytearray)):
+        try:
+            floats = map(float, values)  # iter(values) runs here
+        except TypeError:
+            pass
+        else:
+            out = tuple(floats)
+            if not all(map(math.isfinite, out)):
+                raise ValueError(f"coordinates must be finite, got {out}")
+            return out
+    raise ValueError(f"coordinates must be a sequence of numbers, got {values!r}")
 
 
 def _dot(p, q) -> float:
+    """p.q for sequences of equal length: ``sum(map(operator.mul, p, q))``,
+    with sums of one and two terms written out from 0.0 (the note above
+    ``_row_point`` says why the bits are the same)."""
+    n = len(p)
+    if n == 2:
+        return 0.0 + p[0] * q[0] + p[1] * q[1]
+    if n == 1:
+        return 0.0 + p[0] * q[0]
     return sum(map(operator.mul, p, q))
 
 
@@ -137,7 +155,7 @@ class Boost:
 
     @property
     def speed(self) -> float:
-        return math.sqrt(sum(c * c for c in self.v))
+        return math.sqrt(_dot(self.v, self.v))
 
     @property
     def gamma(self) -> float:
@@ -264,7 +282,7 @@ def _face_point(face, d: int) -> tuple[float, ...] | None:
 # sum() of floats is compensated, and an unrolled sum of three or more terms
 # can differ from it in the last bit. A sum of one or two terms, started
 # from 0 as sum() starts, is the same in every version, so those are
-# written out as 0.0 + x (+ y).
+# written out as 0.0 + x (+ y), here and in _dot for d = 1 and 2.
 
 
 def _row_point(a, b) -> tuple[float, ...] | None:
@@ -357,7 +375,9 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
     step, and larger faces (d >= 3) by Gram-Schmidt on a list of rows; all
     three give the same bits. Many prefixes share a face, so each face is
     solved once per call; the face points live in a dict local to the
-    call, and no cache outlives it.
+    call, and no cache outlives it. The search state is one prefix per
+    call (its order, its half-spaces and a flag per event not yet placed),
+    in lists that grow on the way down and shrink on the way up.
 
     Returns a map from index permutation to witness boost. Raises
     ``ValueError`` for fewer than 2 or more than ``MAX_ORDERING_EVENTS``
@@ -401,28 +421,37 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
 
     found: dict[tuple[int, ...], Boost] = {}
     faces: dict[tuple[int, ...], tuple[float, ...] | None] = {}
+    order: list[int] = []
+    path: list[int] = []
+    free = [True] * n
 
-    def extend(order, path, v):
+    def extend(k, v):
+        order.append(k)
+        free[k] = False
         if len(order) == n:
-            found[order] = Boost(v)
-            return
-        base = order[-1] * n
-        for k in range(n):
-            if k in order:
-                continue
-            grown = (*path, base + k)
-            a, b = step[base + k]
-            # the old minimum stays the minimum while it satisfies the new
-            # row, and its norm was checked when it was found
-            if _dot(a, v) <= b + 1e-12:
-                extend((*order, k), grown, v)
-                continue
-            w = _min_norm_point(grown, step, faces, d)
-            if w is not None and math.sqrt(_dot(w, w)) < 1.0 - tol:
-                extend((*order, k), grown, w)
+            found[tuple(order)] = Boost(v)
+        else:
+            base = k * n
+            for j in range(n):
+                if not free[j]:
+                    continue
+                s = base + j
+                a, b = step[s]
+                path.append(s)
+                # the old minimum stays the minimum while it satisfies the new
+                # row, and its norm was checked when it was found
+                if _dot(a, v) <= b + 1e-12:
+                    extend(j, v)
+                else:
+                    w = _min_norm_point(path, step, faces, d)
+                    if w is not None and math.sqrt(_dot(w, w)) < 1.0 - tol:
+                        extend(j, w)
+                path.pop()
+        free[k] = True
+        order.pop()
 
     # every branch starts at v = 0, whose norm is checked here, once
     if 0.0 < 1.0 - tol:
         for i in range(n):
-            extend((i,), (), (0.0,) * d)
+            extend(i, (0.0,) * d)
     return found

@@ -317,6 +317,14 @@ def test_latest_jammer_non_finite_position(position):
     assert str(exc.value) == want
 
 
+# 1.5 and "2" used to fail in tuple arithmetic with a TypeError, and True
+# gave a result with d=True
+@pytest.mark.parametrize("d, position", [(1.5, None), ("2", None), (True, (0.2,))])
+def test_latest_jammer_time_reads_d_as_an_integer(d, position):
+    with pytest.raises(ValueError, match=f"^d must be an integer, got {d!r}$"):
+        latest_jammer_time(d, position)
+
+
 # ------------------------------------------------------------ box transform
 
 

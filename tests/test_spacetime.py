@@ -1,5 +1,7 @@
 import itertools
 import math
+import operator
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,7 @@ from nonlocality.spacetime import (
     SPACELIKE,
     TIMELIKE,
     TOL_ENV_VAR,
+    _dot,
     _face_point,
     _pair_point,
     _row_point,
@@ -125,6 +128,16 @@ def test_boost_rejects_superluminal():
         Boost((1.0,))
     with pytest.raises(ValueError, match="speed"):
         Boost((0.8, 0.8))
+
+
+# "12" used to load as Event(x=(1.0, 2.0), ...) and "00" as a zero boost,
+# and a number escaped as TypeError
+@pytest.mark.parametrize("make", [lambda c: Event(c, 0.0), Boost], ids=["Event", "Boost"])
+@pytest.mark.parametrize("coords", ["12", "00", b"12", 5, 0.5, None])
+def test_constructors_reject_strings_and_non_iterables(make, coords):
+    want = f"coordinates must be a sequence of numbers, got {coords!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        make(coords)
 
 
 @settings(max_examples=80)
@@ -507,6 +520,49 @@ def test_orderings_match_oracle_when_tol_leaves_no_ball(monkeypatch):
     events = [Event((0.0,), 0.0), Event((1e7,), 1e7 - 2e-7)]
     assert interval(*events).kind == SPACELIKE
     assert achievable_orderings(events) == ordering_oracle.achievable_orderings(events) == {}
+
+
+def test_orderings_keep_no_state_between_calls():
+    # the search grows and restores one prefix state within a call; no set,
+    # and no call that raises, may change the answer of the next call
+    a = [Event((0.0, 0.0), 0.0), Event((2.0, 0.5), 0.3), Event((-1.0, 2.0), -0.2),
+         Event((1.5, -2.0), 0.1)]
+    b = [Event((0.0,), 0.0), Event((3.0,), 0.5), Event((-2.0,), -0.4)]
+    first = _outcome(achievable_orderings, a)
+    assert first == _outcome(ordering_oracle.achievable_orderings, a)
+    assert len(first) > 1
+    assert _outcome(achievable_orderings, b) == _outcome(ordering_oracle.achievable_orderings, b)
+    assert _outcome(achievable_orderings, a) == first
+    assert "not spacelike" in _outcome(achievable_orderings, [Event((0.0,), 0.0), Event((1.0,), 1.0)])
+    assert _outcome(achievable_orderings, a) == first
+
+
+def test_orderings_match_oracle_under_a_wider_tol(monkeypatch):
+    # a second shrink of every half-space, and another set of pruned prefixes
+    monkeypatch.setenv(TOL_ENV_VAR, "1e-6")
+    kinds = set()
+    for events in _oracle_event_sets(np.random.default_rng(711)):
+        got = _outcome(achievable_orderings, events)
+        assert got == _outcome(ordering_oracle.achievable_orderings, events)
+        kinds.add(type(got))
+    assert kinds == {list, str}
+
+
+_awkward = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                            math.inf, -math.inf, math.nan])
+
+
+def _bits(x):
+    return type(x), "nan" if math.isnan(x) else float(x).hex()
+
+
+@settings(max_examples=1000)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    *[st.lists(st.one_of(st.floats(), _awkward), min_size=n, max_size=n)] * 2)))
+def test_dot_equals_sum_bit_for_bit(pair):
+    # one and two terms are written out; sum() is compensated from 3.12 on
+    p, q = pair
+    assert _bits(_dot(p, q)) == _bits(sum(map(operator.mul, p, q)))
 
 
 def _unit(v):
