@@ -8,9 +8,11 @@ causality conditions. Includes the Minkowski geometry needed to state and
 check those conditions in any spatial dimension.
 
 Exports resolve lazily (PEP 562): ``import nonlocality`` loads no
-submodule, and a name loads its submodule on first access. Only
-``correlations`` imports numpy, so the geometry (``spacetime``) and the
-jamming decisions (``jamming``) run without it.
+submodule, and a name loads its submodule on first access. No module
+imports numpy when it loads: only the array code in ``correlations``
+(sampling, ``correlation_array``, the coarse sweeps of ``maximize_chsh``
+and the ndarray views of a box) imports it when called, so the geometry,
+the jamming decisions and the box checks run without it.
 """
 
 import importlib

@@ -13,9 +13,10 @@ in every form ``float()`` reads: ``--position -0.4,1.6``, ``--tol -1e-9``,
 ``--v -inf,0``, also as ``OPT=VALUE`` or under an abbreviated option name.
 
 Only the subcommands that work on boxes or correlation models import
-``correlations``, and with it numpy: ``chsh``, ``nosig``, ``sample`` and
-``jam --box/--builtin``. The geometry subcommands (``jam --config``,
-``--latest``, ``--sweep`` and ``--scenario``, and ``boost``) run on the
+``correlations``: ``chsh``, ``nosig``, ``sample`` and ``jam --box/--builtin``.
+Of those, only ``sample``, ``chsh --optimize`` and ``chsh --curve`` import
+numpy. The others, and the geometry subcommands (``jam --config``,
+``--latest``, ``--sweep`` and ``--scenario``, and ``boost``), run on the
 standard library alone, which keeps their cold start short.
 """
 
@@ -211,10 +212,13 @@ def _jsonable(value):
 # turns the report objects in them into JSON data with _jsonable
 
 
-def _chsh_results(res, largest: float) -> dict:
-    """The value and terms of ``res``, classified by the CHSH sum ``largest``."""
+def _chsh_results(res) -> dict:
+    """The value and terms of ``res``, the stated CHSH form, classified by the
+    largest |S| of its four forms: the stated form reads 0 on a relabelled PR
+    box, and on some correlators of a model at four angles."""
     from . import correlations as corr
 
+    largest = max(abs(s) for s in res.forms())
     return {"value": res.value, "terms": res.terms, "classification": corr.classify_chsh(largest)}
 
 
@@ -245,10 +249,7 @@ def _cmd_chsh(args):
     if args.box or args.builtin:
         box = _load_box(args)
         params["box"] = args.box or args.builtin
-        # the stated form reads 0 on a relabelled PR box: classify by the
-        # largest |S| of the four forms
-        largest = max(abs(s) for s in corr.chsh_forms(box))
-        return _chsh_results(corr.chsh(box), largest), params, True
+        return _chsh_results(corr.chsh(box)), params, True
 
     model = _model_from_args(args)
     params["model"] = model
@@ -274,8 +275,7 @@ def _cmd_chsh(args):
         return results, params, True
     angles = _parse_angles(args.angles or "eq2")
     params["angles"] = angles
-    res = corr.chsh_at_angles(model, *angles)
-    return _chsh_results(res, res.value), params, True
+    return _chsh_results(corr.chsh_at_angles(model, *angles)), params, True
 
 
 def _cmd_nosig(args):

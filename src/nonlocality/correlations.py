@@ -10,6 +10,14 @@ correlations are E(x, y) = sum_ab a*b*P(a, b | x, y) and the CHSH sum is
 bounded by 2 for local deterministic strategies, 2*sqrt(2) for the singlet
 correlation E(theta) = -cos(theta), and 4 algebraically. The superquantum
 model reaches 4 while keeping uniform single-party marginals.
+
+Every caller passes one box or one angle at a time, so boxes, models and
+their checks are plain ``math`` on floats. numpy is imported only inside
+the code where arrays pay: ``sample_outcomes`` (multinomial draws),
+``correlation_array`` and ``_corr_array``, the coarse sweeps of
+``maximize_chsh``, and the ndarray views ``NoSignallingBox.probs``,
+``correlations()`` and ``marginals()`` and ``TableModel.thetas`` and
+``values``.
 """
 
 from __future__ import annotations
@@ -17,9 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .spacetime import _json_number, _resolve_tol
 
@@ -29,6 +35,9 @@ QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
 ALGEBRAIC_BOUND = 4.0
 
 OUTCOMES = (+1, -1)  # outcome value at index 0 and 1
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def reduce_angle(theta: float) -> float:
@@ -42,16 +51,37 @@ def reduce_angle(theta: float) -> float:
     return t
 
 
-def _json_numbers(data, name: str, shape: tuple) -> list:
-    """``data`` as nested lists of floats of the given shape (``None``: any
-    length), each number read by ``_json_number`` under its key, such as
-    ``'P'[0][1][0][0]``. ``ValueError`` names the first bad key."""
-    if not shape:
-        return _json_number(data, name)
-    if not isinstance(data, list) or shape[0] not in (None, len(data)):
+def _json_numbers(data, name: str, shape: tuple) -> list[float]:
+    """The numbers of ``data``, nested lists of the given shape (``None``: any
+    length), in index order as one flat list; each is read by ``_json_number``
+    under its key, such as ``'P'[0][1][0][0]``. ``ValueError`` names the first
+    bad key."""
+    if not isinstance(data, (list, tuple)) or shape[0] not in (None, len(data)):
         size = "a list" if shape[0] is None else f"a list of {shape[0]} items"
         raise ValueError(f"{name} must be {size}, got {data!r}")
-    return [_json_numbers(item, f"{name}[{i}]", shape[1:]) for i, item in enumerate(data)]
+    if len(shape) > 1:
+        return [v for i, item in enumerate(data) for v in _json_numbers(item, f"{name}[{i}]", shape[1:])]
+    # finite floats, the common case, need no key
+    return [v if type(v) is float and math.isfinite(v) else _json_number(v, f"{name}[{i}]")
+            for i, v in enumerate(data)]
+
+
+def _listed(data):
+    """``data`` as nested lists where it is an ndarray or a numpy scalar."""
+    return data.tolist() if hasattr(data, "tolist") else data
+
+
+def _table(p: list[float]) -> tuple[float, ...]:
+    """A box table, 16 finite floats in index order (x, y, a, b), checked for
+    negative entries and per-setting normalization and clipped at 0 as
+    ``ndarray.clip(0.0, None)`` does (which gives -0.0 as +0.0). The sums run
+    in numpy's order for ``sum(axis=(2, 3))``, from +0.0 one entry at a time."""
+    if min(p) < -PROB_TOL:
+        raise ValueError("box has negative probabilities")
+    sums = [0.0 + p[k] + p[k + 1] + p[k + 2] + p[k + 3] for k in (0, 4, 8, 12)]
+    if any(abs(s - 1.0) > PROB_TOL for s in sums):
+        raise ValueError(f"box not normalized per setting pair: sums {[sums[:2], sums[2:]]}")
+    return tuple(v if v > 0.0 else 0.0 for v in p)
 
 
 class NoSignallingBox:
@@ -60,48 +90,91 @@ class NoSignallingBox:
     Construction validates nonnegativity and per-setting normalization.
     The no-signalling property itself is checked, never assumed; see
     :func:`check_no_signalling`.
+
+    A box holds its 16 numbers as floats and works on them in plain ``math``.
+    ``probs``, ``correlations()`` and ``marginals()`` build ndarrays on
+    access, for callers that want arrays. The sums over two outcomes are
+    ``a + b``, as numpy's reductions over an axis of length 2 are for these
+    nonnegative entries, so both forms agree bit for bit.
     """
 
-    __slots__ = ("probs",)
+    __slots__ = ("_p",)
 
     def __init__(self, probs):
-        arr = np.array(probs, dtype=float)
-        if arr.shape != (2, 2, 2, 2):
-            raise ValueError(f"box table must have shape (2,2,2,2), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("box probabilities must be finite")
-        if arr.min() < -PROB_TOL:
-            raise ValueError("box has negative probabilities")
-        sums = arr.sum(axis=(2, 3))
-        if np.abs(sums - 1.0).max() > PROB_TOL:
-            raise ValueError(f"box not normalized per setting pair: sums {sums}")
-        arr = arr.clip(0.0, None)
+        """``probs``: an ndarray or nested lists of shape (2, 2, 2, 2) of
+        finite real numbers (not bools or strings)."""
+        self._p = _table(_json_numbers(_listed(probs), "box table", (2, 2, 2, 2)))
+
+    @classmethod
+    def _of(cls, p: list[float]) -> "NoSignallingBox":
+        """The box of 16 finite floats in index order, with the table checks."""
+        box = object.__new__(cls)
+        box._p = _table(p)
+        return box
+
+    @property
+    def probs(self):
+        """The table as a read-only ndarray indexed [x, y, ia, ib]."""
+        import numpy as np
+
+        arr = np.array(self._p).reshape(2, 2, 2, 2)
         arr.setflags(write=False)
-        self.probs = arr
+        return arr
 
-    def correlations(self) -> np.ndarray:
-        """E(x, y) for all four setting pairs, indexed [x, y]."""
-        p = self.probs
-        return p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
+    def _correlations(self) -> list[float]:
+        """E(0,0), E(0,1), E(1,0), E(1,1)."""
+        p = self._p
+        return [p[k] + p[k + 3] - p[k + 1] - p[k + 2] for k in (0, 4, 8, 12)]
 
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+    def _marginals(self) -> tuple[list[float], list[float]]:
+        """Alice's and Bob's marginals, each flat in index order (x, y, outcome)."""
+        p = self._p
+        alice = [p[k] + p[k + 1] for k in range(0, 16, 2)]
+        bob = [p[k] + p[k + 2] for k in (0, 1, 4, 5, 8, 9, 12, 13)]
+        return alice, bob
+
+    def correlations(self):
+        """E(x, y) for all four setting pairs, as an ndarray indexed [x, y]."""
+        import numpy as np
+
+        return np.array(self._correlations()).reshape(2, 2)
+
+    def marginals(self):
         """Alice's and Bob's outcome distributions (P(+1), P(-1)) for every
-        setting pair, each indexed [x, y, outcome]."""
-        return self.probs.sum(axis=3), self.probs.sum(axis=2)
+        setting pair, each an ndarray indexed [x, y, outcome]."""
+        import numpy as np
+
+        return tuple(np.array(m).reshape(2, 2, 2) for m in self._marginals())
 
     def to_json(self) -> dict:
         """Index order (x, y, a, b), outcome +1 before -1."""
-        return {"P": self.probs.tolist()}
+        p = self._p
+        return {"P": [[[list(p[k:k + 2]), list(p[k + 2:k + 4])] for k in (j, j + 4)]
+                      for j in (0, 8)]}
 
     @classmethod
     def from_json(cls, data) -> "NoSignallingBox":
         if not isinstance(data, dict) or "P" not in data:
             raise ValueError("box JSON must be an object with key 'P'")
-        return cls(_json_numbers(data["P"], "box JSON key 'P'", (2, 2, 2, 2)))
+        return cls._of(_json_numbers(data["P"], "box JSON key 'P'", (2, 2, 2, 2)))
 
     def __repr__(self):
-        e = self.correlations()
-        return f"NoSignallingBox(correlations={e.tolist()})"
+        e = self._correlations()
+        return f"NoSignallingBox(correlations={[e[:2], e[2:]]})"
+
+
+def _lift(e: list[float]) -> NoSignallingBox:
+    """``box_from_correlation`` of the four floats E(0,0), E(0,1), E(1,0), E(1,1)."""
+    if not all(map(math.isfinite, e)):
+        raise ValueError(f"correlations must be finite, got {[e[:2], e[2:]]}")
+    if max(map(abs, e)) > 1.0 + PROB_TOL:
+        raise ValueError(f"correlations must lie in [-1, 1], got {[e[:2], e[2:]]}")
+    p = []
+    for c in e:
+        same = (1.0 + c) / 4.0
+        diff = (1.0 - c) / 4.0
+        p += (same, diff, diff, same)
+    return NoSignallingBox._of(p)
 
 
 def box_from_correlation(e) -> NoSignallingBox:
@@ -112,25 +185,17 @@ def box_from_correlation(e) -> NoSignallingBox:
     unequal ones (1-E)/4, so each party sees 1/2 for either outcome and the
     result is no-signalling by construction.
     """
-    arr = np.asarray(e, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full((2, 2), float(arr))
-    if arr.shape != (2, 2):
-        raise ValueError(f"need a scalar or 2x2 correlations, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"correlations must be finite, got {arr.tolist()}")
-    if np.abs(arr).max() > 1.0 + PROB_TOL:
-        raise ValueError(f"correlations must lie in [-1, 1], got {arr.tolist()}")
-    same = (1.0 + arr) / 4.0
-    diff = (1.0 - arr) / 4.0
-    return NoSignallingBox(np.stack([same, diff, diff, same], axis=-1).reshape(2, 2, 2, 2))
+    e = _listed(e)
+    if isinstance(e, (list, tuple)):
+        return _lift(_json_numbers(e, "correlation", (2, 2)))
+    return _lift([_json_number(e, "correlation")] * 4)
 
 
 def product_box(p_plus_a, p_plus_b) -> NoSignallingBox:
     """Uncorrelated box from per-setting P(outcome = +1) for each party."""
-    pa = np.array([[p, 1.0 - p] for p in map(float, p_plus_a)])
-    pb = np.array([[p, 1.0 - p] for p in map(float, p_plus_b)])
-    return NoSignallingBox(pa[:, None, :, None] * pb[None, :, None, :])
+    pa = [(p, 1.0 - p) for p in map(float, p_plus_a)]
+    pb = [(p, 1.0 - p) for p in map(float, p_plus_b)]
+    return NoSignallingBox([[[[a * b for b in qb] for a in qa] for qb in pb] for qa in pa])
 
 
 @dataclass(frozen=True)
@@ -143,8 +208,10 @@ class NoSignallingReport:
 def check_no_signalling(box: NoSignallingBox, tol: float = PROB_TOL) -> NoSignallingReport:
     """Largest dependence of one party's marginals on the other's setting."""
     tol = _resolve_tol(tol)
-    pa, pb = box.marginals()
-    dev = max(float(np.abs(pa[:, 0] - pa[:, 1]).max()), float(np.abs(pb[0] - pb[1]).max()))
+    pa, pb = box._marginals()
+    # Alice's marginal at (x, 0) against (x, 1); Bob's at (0, y) against (1, y)
+    dev = max(max(abs(pa[i] - pa[i + 2]) for i in (0, 1, 4, 5)),
+              max(abs(pb[i] - pb[i + 4]) for i in range(4)))
     return NoSignallingReport(passed=dev <= tol, max_deviation=dev, tol=tol)
 
 
@@ -164,10 +231,11 @@ def apply_jamming(box: NoSignallingBox, strength: float = 1.0) -> NoSignallingBo
     """
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"strength must lie in [0, 1], got {strength}")
-    pa, pb = box.marginals()
-    probs = pa[..., :, None] * pb[..., None, :]
-    mixed = strength * probs + (1.0 - strength) * box.probs
-    return NoSignallingBox(mixed)
+    pa, pb = box._marginals()
+    keep = 1.0 - strength
+    # entry (x, y, a, b) has flat index i; Alice's marginal i >> 1, Bob's (i >> 2) * 2 + b
+    return NoSignallingBox._of([strength * (pa[i >> 1] * pb[(i >> 2) * 2 + (i & 1)]) + keep * p
+                                for i, p in enumerate(box._p)])
 
 
 @dataclass(frozen=True)
@@ -182,8 +250,8 @@ def check_unary(
 ) -> UnaryReport:
     """No single-party statistic may reveal jamming: compare all marginals."""
     tol = _resolve_tol(tol)
-    (pa, pb), (qa, qb) = original.marginals(), jammed.marginals()
-    dev = max(float(np.abs(pa - qa).max()), float(np.abs(pb - qb).max()))
+    (pa, pb), (qa, qb) = original._marginals(), jammed._marginals()
+    dev = max(max(abs(p - q) for p, q in zip(pa, qa)), max(abs(p - q) for p, q in zip(pb, qb)))
     return UnaryReport(holds=dev <= tol, max_deviation=dev, tol=tol)
 
 
@@ -199,28 +267,32 @@ class ChshResult:
     terms: tuple[float, float, float, float]
     angles: tuple[float, float, float, float] | None = None
 
+    def forms(self) -> tuple[float, float, float, float]:
+        """The four CHSH sums of ``terms``, with the minus sign on E(A,B),
+        E(A,B'), E(A',B) and E(A',B') in turn; the last is ``value``.
+
+        Four correlators have a local model iff every |S| <= 2 (Fine, Phys.
+        Rev. Lett. 48, 291 (1982)), so the largest |S| classifies them: a PR
+        box with its outcomes or settings relabelled reads 0 in the stated
+        form and 4 in another.
+        """
+        e00, e01, e10, e11 = self.terms
+        return (
+            -e00 + e01 + e10 + e11,
+            e00 - e01 + e10 + e11,
+            e00 + e01 - e10 + e11,
+            e00 + e01 + e10 - e11,
+        )
+
 
 def chsh(box: NoSignallingBox) -> ChshResult:
-    (e00, e01), (e10, e11) = box.correlations().tolist()
+    e00, e01, e10, e11 = box._correlations()
     return ChshResult(value=e00 + e01 + e10 - e11, terms=(e00, e01, e10, e11))
 
 
 def chsh_forms(box: NoSignallingBox) -> tuple[float, float, float, float]:
-    """The four CHSH sums of ``box``, with the minus sign on E(A,B), E(A,B'),
-    E(A',B) and E(A',B') in turn; the last is ``chsh(box).value``.
-
-    A no-signalling box has a local model iff every |S| <= 2 (Fine, Phys.
-    Rev. Lett. 48, 291 (1982)), so the largest |S| classifies a box: a PR
-    box with its outcomes or settings relabelled reads 0 in the stated form
-    and 4 in another.
-    """
-    (e00, e01), (e10, e11) = box.correlations().tolist()
-    return (
-        -e00 + e01 + e10 + e11,
-        e00 - e01 + e10 + e11,
-        e00 + e01 - e10 + e11,
-        e00 + e01 + e10 - e11,
-    )
+    """The four CHSH sums of ``box``: ``chsh(box).forms()``."""
+    return chsh(box).forms()
 
 
 def classify_chsh(value: float, tol: float = 1e-6) -> str:
@@ -257,6 +329,8 @@ class CorrelationModel:
 
     def correlation_array(self, thetas) -> np.ndarray:
         """E at each angle of ``thetas``, folded into [0, pi] as by ``reduce_angle``."""
+        import numpy as np
+
         t = np.asarray(thetas, dtype=float)
         finite = np.isfinite(t)
         if not finite.all():
@@ -268,6 +342,8 @@ class CorrelationModel:
         raise NotImplementedError
 
     def _corr_array(self, t: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.array([self._corr(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
     def to_json(self) -> dict:
@@ -283,6 +359,8 @@ class SingletModel(CorrelationModel):
         return -math.cos(theta)
 
     def _corr_array(self, t: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return -np.cos(t)
 
 
@@ -322,6 +400,8 @@ class SuperquantumModel(CorrelationModel):
     def _corr_array(self, t: np.ndarray) -> np.ndarray:
         if self.interpolant is not _default_interpolant:
             return super()._corr_array(t)
+        import numpy as np
+
         return np.where(t <= _BAND_LO, 1.0, np.where(t >= _BAND_HI, -1.0, np.sin(2.0 * t)))
 
 
@@ -349,6 +429,8 @@ class DeterministicModel(CorrelationModel):
         return float(self.alice[0] * self.bob[0])
 
     def _corr_array(self, t: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.full(t.shape, float(self.alice[0] * self.bob[0]))
 
     def to_json(self) -> dict:
@@ -367,20 +449,28 @@ class TableModel(CorrelationModel):
     kind = "table"
 
     def __init__(self, thetas, values):
-        th = np.asarray(thetas, dtype=float)
-        va = np.asarray(values, dtype=float)
-        if th.ndim != 1 or th.shape != va.shape or th.size < 2:
+        xs, ys = (_json_numbers(_listed(data), name, (None,))
+                  for data, name in ((thetas, "thetas"), (values, "values")))
+        if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("need matching 1-d theta/value arrays with >= 2 points")
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(va))):
-            raise ValueError("thetas and values must be finite")
-        if np.any(np.diff(th) <= 0) or th[0] < 0 or th[-1] > math.pi:
+        if any(b <= a for a, b in zip(xs, xs[1:])) or xs[0] < 0 or xs[-1] > math.pi:
             raise ValueError("thetas must be strictly increasing within [0, pi]")
-        if np.any(np.abs(va) > 1.0 + PROB_TOL):
+        if max(map(abs, ys)) > 1.0 + PROB_TOL:
             raise ValueError("correlation values must lie in [-1, 1]")
-        self.thetas = th
-        self.values = np.clip(va, -1.0, 1.0)
-        self._xs = th.tolist()
-        self._ys = self.values.tolist()
+        self._xs = xs
+        self._ys = [min(max(y, -1.0), 1.0) for y in ys]  # as np.clip, -0.0 kept
+
+    @property
+    def thetas(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self._xs)
+
+    @property
+    def values(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self._ys)
 
     def _corr(self, theta: float) -> float:
         xs, ys = self._xs, self._ys
@@ -395,10 +485,12 @@ class TableModel(CorrelationModel):
         return slope * (theta - xs[j]) + ys[j]
 
     def _corr_array(self, t: np.ndarray) -> np.ndarray:
-        return np.interp(t, self.thetas, self.values)
+        import numpy as np
+
+        return np.interp(t, self._xs, self._ys)
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "thetas": self.thetas.tolist(), "values": self.values.tolist()}
+        return {"kind": self.kind, "thetas": list(self._xs), "values": list(self._ys)}
 
 
 # Keys each model kind's JSON object needs besides "kind".
@@ -466,10 +558,7 @@ def box_from_model(
     model: CorrelationModel, a: float, a_prime: float, b: float, b_prime: float
 ) -> NoSignallingBox:
     """Box whose setting pairs realize the model correlations at four axes."""
-    alice = (a, a_prime)
-    bob = (b, b_prime)
-    e = [[model.correlation(alice[x] - bob[y]) for y in (0, 1)] for x in (0, 1)]
-    return box_from_correlation(e)
+    return _lift([model.correlation(x - y) for x in (a, a_prime) for y in (b, b_prime)])
 
 
 @dataclass(frozen=True)
@@ -561,6 +650,7 @@ def maximize_chsh(
     extra_starts = _json_number(extra_starts, "extra_starts", integer=True)
     if extra_starts < 0:
         raise ValueError(f"extra_starts must be >= 0, got {extra_starts}")
+    import numpy as np
 
     corr = model._corr
     two_pi = 2.0 * math.pi
@@ -672,7 +762,7 @@ class SampleReport:
 
 
 # Largest n: numpy's multinomial draw takes an int64 count
-_MAX_SAMPLES = int(np.iinfo(np.int64).max)
+_MAX_SAMPLES = 2**63 - 1
 
 
 def sample_outcomes(box: NoSignallingBox, n: int, seed: int) -> SampleReport:
@@ -690,8 +780,10 @@ def sample_outcomes(box: NoSignallingBox, n: int, seed: int) -> SampleReport:
     seed = _json_number(seed, "seed", integer=True)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
-    pairs = box.probs.reshape(4, 4)  # one row per setting pair (x, y), y fastest
+    pairs = np.array(box._p).reshape(4, 4)  # one row per setting pair (x, y), y fastest
     counts = np.array([rng.multinomial(n, p) for p in pairs]).reshape(2, 2, 2, 2)
     p_same = (counts[..., 0, 0] + counts[..., 1, 1]) / n
     corr = 2.0 * p_same - 1.0

@@ -54,37 +54,50 @@ def default_tol() -> float:
     return GEOMETRIC_TOL if text is None else _resolve_tol(text, TOL_ENV_VAR)
 
 
+def _real(value) -> float | None:
+    """``value`` as a float if it is a real number and not a bool (an int
+    too large for a float gives inf), else None."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf
+    return None
+
+
 def _json_number(value, name: str, integer: bool = False):
     """``value`` as a float, or an int if ``integer``; ``ValueError`` naming
     ``name`` unless it is a finite real number (not a bool or a string), and
     integral if ``integer``. The package's one rule for numbers read from
     JSON (event coordinates, configuration ``'d'``, box ``'P'``, model
-    ``'strategy'``, ``'thetas'`` and ``'values'``) and for strategy ids."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number) and (not integer or number.is_integer()):
-            return int(value) if integer else number
+    ``'strategy'``, ``'thetas'`` and ``'values'``), for strategy ids, and,
+    through ``_real``, for the coordinates of every ``Event`` and ``Boost``."""
+    number = _real(value)
+    if number is not None and math.isfinite(number) and (not integer or number.is_integer()):
+        return int(value) if integer else number
     kind = "an integer" if integer else "a finite number"
     raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
     """``values`` as a tuple of finite floats; ``ValueError`` naming the
-    value for a string, bytes or a non-iterable, and for a coordinate that
-    is not finite."""
+    value for a string, bytes or a non-iterable, for a coordinate that is
+    not a real number by ``_real``'s rule (a bool, a string, None), and for
+    one that is not finite."""
     if not isinstance(values, (str, bytes, bytearray)):
         try:
-            floats = map(float, values)  # iter(values) runs here
+            out = tuple(values)
         except TypeError:
             pass
         else:
-            out = tuple(floats)
-            if not all(map(math.isfinite, out)):
-                raise ValueError(f"coordinates must be finite, got {out}")
-            return out
+            for v in out:
+                if type(v) is not float:  # floats, the common case, skip this
+                    out = tuple(map(_real, out))
+                    break
+            if None not in out:
+                if not all(map(math.isfinite, out)):
+                    raise ValueError(f"coordinates must be finite, got {out}")
+                return out
     raise ValueError(f"coordinates must be a sequence of numbers, got {values!r}")
 
 
@@ -109,7 +122,11 @@ class Event:
 
     def __post_init__(self):
         object.__setattr__(self, "x", _as_float_tuple(self.x))
-        object.__setattr__(self, "t", float(self.t))
+        if type(self.t) is not float:
+            t = _real(self.t)
+            if t is None:
+                raise ValueError(f"time coordinate must be a finite number, got {self.t!r}")
+            object.__setattr__(self, "t", t)
         if len(self.x) < 1:
             raise ValueError("spatial dimension must be at least 1")
         if not math.isfinite(self.t):

@@ -115,6 +115,18 @@ def test_chsh_box_classifies_every_deterministic_box_as_classical(tmp_path, caps
     assert report["results"]["classification"] == "classical"
 
 
+def test_chsh_angles_classifies_by_the_largest_form(capsys):
+    # the stated form reads 0.85, classical; the second form of the same
+    # correlators reads 2.97
+    code, report = run_json(capsys, "chsh", "--model", "superquantum", "--angles", "0,0.6,1.6,0.4")
+    res = corr.chsh_at_angles(corr.SuperquantumModel(), 0.0, 0.6, 1.6, 0.4)
+    assert code == 0
+    assert report["results"] == {"value": res.value, "terms": list(res.terms),
+                                 "classification": "superquantum"}
+    assert res.value == pytest.approx(0.851, abs=1e-3)
+    assert max(map(abs, res.forms())) == pytest.approx(2.967, abs=1e-3)
+
+
 @pytest.mark.parametrize("value", ["-5", "1000001", "100000000", "2.5", "1e3", "x"])
 def test_chsh_curve_count_out_of_range_is_input_error(tmp_path, capsys, value):
     # -5 wrote a CSV with only a header and exited 0; 100000000 built the
@@ -952,6 +964,55 @@ def test_fuzzed_options_end_in_a_report_or_an_input_error(tmp_path, capsys, argv
         assert report["ok"] is (code == 0)
 
 
+# Box files for the fuzz test: nested lists of numbers, strings, bools and
+# nulls of any shape, and normalized (2, 2, 2, 2) tables with a few entries
+# replaced by such values
+_BOX_LEAVES = hst.one_of(
+    hst.sampled_from([0.25, 0.5, 0.0, -0.0, 1, -1e-13, 0.25 + 1e-13, 10**400]),
+    hst.floats(), hst.integers(-2, 2), hst.text(max_size=3), hst.booleans(), hst.none(),
+)
+_BOX_ROWS = [[0.25] * 4, [0.5, 0.0, 0.0, 0.5], [0.45, 0.45, 0.05, 0.05], [0, 1, 0, 0],
+             [0.5, -0.0, 0.5, 0.0], [0.3, 0.3, 0.3, 0.1]]
+
+
+def _box_tables(depth):
+    if depth == 0:
+        return _BOX_LEAVES
+    inner = _box_tables(depth - 1)
+    return hst.one_of(hst.lists(inner, min_size=2, max_size=2), _BOX_LEAVES,
+                      hst.lists(inner, max_size=3))
+
+
+@hst.composite
+def _box_payloads(draw):
+    kind = draw(hst.integers(0, 3))
+    if kind == 0:
+        return draw(_box_tables(2))
+    if kind == 1:
+        return {"P": draw(_box_tables(4))}
+    p = [v for _ in range(4) for v in draw(hst.sampled_from(_BOX_ROWS))]
+    for _ in range(draw(hst.integers(0, 2))):
+        p[draw(hst.integers(0, 15))] = draw(_BOX_LEAVES)
+    return {"P": [[[p[k:k + 2], p[k + 2:k + 4]] for k in (j, j + 4)] for j in (0, 8)]}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_box_payloads(), hst.sampled_from([
+    ("nosig",), ("chsh",), ("jam", "--strength", "0.5"), ("sample", "--n", "10", "--seed", "1"),
+]))
+def test_fuzzed_box_files_end_in_a_report_or_an_input_error(tmp_path, capsys, payload, command):
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_any(capsys, *command, "--box", str(path), "--format", "json")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith(f"error: {path}: ")
+    else:
+        report = json.loads(out)
+        assert report["ok"] is (code == 0)
+
+
 def test_report_json_roundtrips(capsys):
     code, report = run_json(capsys, "chsh", "--model", "singlet", "--angles", "eq2")
     assert json.loads(json.dumps(report)) == report
@@ -1098,7 +1159,8 @@ def test_chsh_optimize_outputs_match_recorded_digests(tmp_path, monkeypatch, cap
 
 # The geometry subcommands, and every subcommand's --help, run without numpy:
 # the script runs them through main() with numpy importable or blocked, and
-# reports each exit code and stdout, the sweep CSV and the modules loaded.
+# reports each exit code and stdout, the sweep CSV (if written) and the
+# modules loaded.
 _GEOMETRY_COMMANDS = [
     ["jam", "--latest", "--d", "2", "--position", "0.3,0.4"],
     ["jam", "--latest", "--d", "1", "--format", "json"],
@@ -1126,12 +1188,17 @@ for args in json.loads(sys.argv[2]):
             code = exc.code
     runs.append([code, out.getvalue()])
 loaded = [name for name in ("numpy", "nonlocality.correlations") if sys.modules.get(name)]
-with open("sweep.csv") as fh:
-    print(json.dumps({"runs": runs, "csv": fh.read(), "loaded": loaded}))
+try:
+    with open("sweep.csv") as fh:
+        csv = fh.read()
+except FileNotFoundError:
+    csv = None
+print(json.dumps({"runs": runs, "csv": csv, "loaded": loaded}))
 """
 
 
-def test_geometry_subcommands_run_without_numpy(tmp_path):
+def _run_without_numpy(tmp_path, commands):
+    """The script's report on ``commands`` with numpy blocked and with it importable."""
     reports = {}
     for mode in ("blocked", "importable"):
         workdir = tmp_path / mode
@@ -1142,17 +1209,53 @@ def test_geometry_subcommands_run_without_numpy(tmp_path):
             {"a": [9.0, 8.0], "b": [11.0, 8.0], "j": [0.0, 4.0]},
         ])
         write_json(workdir / "ev.json", [[-2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [3.0, -0.5, -0.1]])
+        write_json(workdir / "box.json", product_box((0.3, 0.8), (0.6, 0.1)).to_json())
+        write_json(workdir / "pr.json", box_from_correlation([[-1.0, 1.0], [1.0, 1.0]]).to_json())
+        sig = [[[[0.45, 0.45], [0.05, 0.05]], [[0.25, 0.25], [0.25, 0.25]]]] * 2
+        write_json(workdir / "sig.json", {"P": sig})
+        write_json(workdir / "table.json", {"kind": "table", "thetas": [0.0, 1.0, 3.0],
+                                            "values": [1.0, -0.5, -1.0]})
         proc = subprocess.run(
-            [sys.executable, "-c", _RUN_WITHOUT_NUMPY, mode, json.dumps(_GEOMETRY_COMMANDS)],
+            [sys.executable, "-c", _RUN_WITHOUT_NUMPY, mode, json.dumps(commands)],
             cwd=workdir, capture_output=True, text=True, check=False,
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
         reports[mode] = json.loads(proc.stdout)
-    blocked, importable = reports["blocked"], reports["importable"]
+    return reports["blocked"], reports["importable"]
+
+
+def test_geometry_subcommands_run_without_numpy(tmp_path):
+    blocked, importable = _run_without_numpy(tmp_path, _GEOMETRY_COMMANDS)
     assert [code for code, _ in blocked["runs"]] == [0] * len(_GEOMETRY_COMMANDS)
     assert blocked == importable
     assert importable["loaded"] == []
+
+
+# The box subcommands, and chsh on a model at given angles, run on plain
+# floats: their reports are the same with numpy blocked, and with numpy
+# importable none of them loads it.
+_BOX_COMMANDS = [
+    (["nosig", "--builtin", "singlet-optimal"], 0),
+    (["nosig", "--box", "box.json"], 0),
+    (["nosig", "--box", "sig.json"], 1),
+    (["chsh", "--builtin", "superquantum-eq2"], 0),
+    (["chsh", "--box", "pr.json"], 0),
+    (["chsh", "--model", "singlet", "--angles", "0,1.5707963267948966,0.7853981633974483,-0.5"], 0),
+    (["chsh", "--model", "superquantum"], 0),
+    (["chsh", "--model-file", "table.json", "--angles", "singlet-optimal"], 0),
+    (["chsh", "--deterministic", "all"], 0),
+    (["jam", "--builtin", "superquantum-eq2", "--strength", "0.5"], 0),
+    (["jam", "--box", "sig.json"], 0),
+]
+
+
+def test_box_subcommands_run_without_numpy(tmp_path):
+    commands = [args + ["--format", "json"] for args, _ in _BOX_COMMANDS]
+    blocked, importable = _run_without_numpy(tmp_path, commands)
+    assert [code for code, _ in blocked["runs"]] == [code for _, code in _BOX_COMMANDS]
+    assert blocked == importable
+    assert importable["loaded"] == ["nonlocality.correlations"]
 
 
 _LAZY_EXPORTS = """

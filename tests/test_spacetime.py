@@ -625,6 +625,30 @@ def test_event_from_json_names_bad_key(data):
         Event.from_json(data, key="key 'j'")
 
 
+# Event((0.0,), "5") had t = 5.0, Event(("1e0", True), 0.0) had x = (1.0, 1.0),
+# and Event((None,), 0.0) raised TypeError
+@pytest.mark.parametrize("x,t,message", [
+    ((0.0,), "5", "time coordinate must be a finite number, got '5'"),
+    ((0.0,), True, "time coordinate must be a finite number, got True"),
+    ((0.0, 1.0), None, "time coordinate must be a finite number, got None"),
+    (("1e0", True), 0.0, "coordinates must be a sequence of numbers, got ('1e0', True)"),
+    ((None,), 0.0, "coordinates must be a sequence of numbers, got (None,)"),
+])
+def test_event_takes_real_numbers_only(x, t, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Event(x, t)
+
+
+def test_event_and_boost_take_ints_and_numpy_numbers():
+    e = Event((1, np.float32(0.5), np.int64(-2)), np.float64(3.0))
+    assert e == Event((1.0, 0.5, -2.0), 3.0)
+    assert all(type(v) is float for v in (*e.x, e.t))
+    v = Boost((np.float64(0.25), 0)).v
+    assert v == (0.25, 0.0) and all(type(c) is float for c in v)
+    with pytest.raises(ValueError, match=re.escape("numbers, got ('0.1',)")):
+        Boost(("0.1",))
+
+
 def test_default_tol_env_override(monkeypatch):
     monkeypatch.setenv("NONLOCALITY_TOL", "1e-6")
     assert default_tol() == 1e-6
