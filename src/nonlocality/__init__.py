@@ -43,7 +43,6 @@ _EXPORTS = {
         "check_unary",
         "chsh",
         "chsh_at_angles",
-        "chsh_forms",
         "classify_chsh",
         "enumerate_deterministic",
         "maximize_chsh",

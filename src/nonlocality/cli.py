@@ -12,6 +12,12 @@ on input errors. Any option takes a dash-leading number as its value,
 in every form ``float()`` reads: ``--position -0.4,1.6``, ``--tol -1e-9``,
 ``--v -inf,0``, also as ``OPT=VALUE`` or under an abbreviated option name.
 
+Each subcommand takes exactly one source (``boost`` one of ``--v`` and
+``--orderings``; ``chsh`` at most one of ``--angles``, ``--optimize`` and
+``--curve``). A missing or second source and a bad flag value are argparse
+errors: usage and message on stderr, exit 2. A bad file or a value that a
+library check rejects fails as ``error: ...`` on stderr, also exit 2.
+
 Only the subcommands that work on boxes or correlation models import
 ``correlations``: ``chsh``, ``nosig``, ``sample`` and ``jam --box/--builtin``.
 Of those, only ``sample``, ``chsh --optimize`` and ``chsh --curve`` import
@@ -36,11 +42,13 @@ from . import jamming as jam
 from . import spacetime as st
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _parse_sweep_range(text: str) -> tuple[float, float, int]:
@@ -125,21 +133,22 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
         return corr.ANGLE_PRESETS[text]
     values = _parse_floats(text)
     if len(values) != 4:
-        raise ValueError(
-            f"--angles takes a preset ({', '.join(sorted(corr.ANGLE_PRESETS))}) "
+        raise argparse.ArgumentTypeError(
+            f"expected a preset ({', '.join(sorted(corr.ANGLE_PRESETS))}) "
             f"or four comma-separated angles a,a',b,b'; got {text!r}"
         )
-    return tuple(values)  # type: ignore[return-value]
+    return values  # type: ignore[return-value]
 
 
 def _load_json(path: str, read):
     """``read`` applied to the JSON data in the file at ``path``. Every input
     file is read here, and a ``ValueError`` from the JSON parser or from
-    ``read`` is raised again with the path as a prefix."""
+    ``read`` is raised again with the path as a prefix, as is the
+    ``RecursionError`` of data nested too deeply to parse or read."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return read(json.load(fh))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
@@ -153,35 +162,32 @@ def _read_events(data) -> list[st.Event]:
 
 
 def _load_box(args):
+    """The box of ``--box FILE`` or ``--builtin NAME``, and that FILE or NAME."""
     from . import correlations as corr
 
-    if getattr(args, "box", None):
-        return _load_json(args.box, corr.NoSignallingBox.from_json)
-    if getattr(args, "builtin", None):
-        return corr.builtin_box(args.builtin)
-    raise ValueError("provide --box FILE or --builtin NAME")
+    if args.box is not None:
+        return _load_json(args.box, corr.NoSignallingBox.from_json), args.box
+    return corr.builtin_box(args.builtin), args.builtin
 
 
 def _model_from_args(args):
     from . import correlations as corr
 
-    if getattr(args, "model_file", None):
+    if args.model_file is not None:
         return _load_json(args.model_file, corr.model_from_json)
-    if getattr(args, "model", None):
-        # NAME[:ID] is the model JSON {"kind": NAME, "strategy": ID}
-        kind, sep, ident = args.model.partition(":")
-        try:
-            data = {"kind": kind, "strategy": int(ident)} if sep else {"kind": kind}
-            # only classical takes an ID, and a table needs --model-file
-            if kind != "table" and bool(sep) == (kind == "classical"):
-                return corr.model_from_json(data)
-        except ValueError:
-            pass
-        raise ValueError(
-            "--model takes singlet, superquantum or classical:ID with ID an integer "
-            f"0..15, got {args.model!r}; or use --model-file"
-        )
-    raise ValueError("provide --model NAME or --model-file FILE")
+    # NAME[:ID] is the model JSON {"kind": NAME, "strategy": ID}
+    kind, sep, ident = args.model.partition(":")
+    try:
+        data = {"kind": kind, "strategy": int(ident)} if sep else {"kind": kind}
+        # only classical takes an ID, and a table needs --model-file
+        if kind != "table" and bool(sep) == (kind == "classical"):
+            return corr.model_from_json(data)
+    except ValueError:
+        pass
+    raise ValueError(
+        "--model takes singlet, superquantum or classical:ID with ID an integer "
+        f"0..15, got {args.model!r}; or use --model-file"
+    )
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> int:
@@ -246,9 +252,8 @@ def _cmd_chsh(args):
         }
         return results, params, True
 
-    if args.box or args.builtin:
-        box = _load_box(args)
-        params["box"] = args.box or args.builtin
+    if args.box is not None or args.builtin is not None:
+        box, params["box"] = _load_box(args)
         return _chsh_results(corr.chsh(box)), params, True
 
     model = _model_from_args(args)
@@ -273,35 +278,55 @@ def _cmd_chsh(args):
             "note": "search result: heuristic lower bound on the true maximum",
         }
         return results, params, True
-    angles = _parse_angles(args.angles or "eq2")
-    params["angles"] = angles
-    return _chsh_results(corr.chsh_at_angles(model, *angles)), params, True
+    params["angles"] = args.angles
+    return _chsh_results(corr.chsh_at_angles(model, *args.angles)), params, True
 
 
 def _cmd_nosig(args):
     from . import correlations as corr
 
-    tol = corr.PROB_TOL if args.tol is None else args.tol
-    box = _load_box(args)
-    report = corr.check_no_signalling(box, tol=tol)
-    params = {"box": args.box or args.builtin, "tol": tol}
-    return report, params, report.passed
+    box, name = _load_box(args)
+    report = corr.check_no_signalling(box, tol=args.tol)
+    return report, {"box": name, "tol": report.tol}, report.passed
 
 
 def _cmd_jam(args):
+    if args.box is not None or args.builtin is not None:
+        from . import correlations as corr
+
+        if args.tol is not None:
+            raise ValueError(
+                "--tol is the geometric tolerance; jam --box/--builtin checks the unary "
+                f"condition at the probability tolerance {corr.PROB_TOL:g}"
+            )
+        box, name = _load_box(args)
+        jammed = corr.apply_jamming(box, strength=args.strength)
+        unary = corr.check_unary(box, jammed)
+        params = {"tol": unary.tol, "box": name, "strength": args.strength}
+        results = {
+            "chsh_before": corr.chsh(box).value,
+            "chsh_after": corr.chsh(jammed).value,
+            "unary": unary,
+            "jammed_box": jammed,
+        }
+        return results, params, unary.holds
     tol = st._resolve_tol(args.tol)
     params = {"tol": tol}
     if args.latest:
-        position = tuple(_parse_floats(args.position)) if args.position else None
-        res = jam.latest_jammer_time(args.d, position=position, tol=tol)
+        res = jam.latest_jammer_time(args.d, position=args.position, tol=tol)
         params.update({"d": args.d, "position": res.position})
         return res, params, True
     if args.sweep:
         if not args.csv:
             raise ValueError("--sweep requires --csv PATH")
         d = args.d
-        position = tuple(_parse_floats(args.position)) if args.position else (0.0,) * d
         lo, hi, n = args.sweep_range
+        if d * n > _MAX_COUNT:
+            raise ValueError(
+                f"--sweep with d = {d} and n = {n} builds d*n = {d * n} coordinates; "
+                f"d*n must be at most {_MAX_COUNT}"
+            )
+        position = (0.0,) * d if args.position is None else args.position
         a = st.Event((-1.0,) + (0.0,) * (d - 1), 0.0)
         b = st.Event((+1.0,) + (0.0,) * (d - 1), 0.0)
         rows = []
@@ -316,34 +341,18 @@ def _cmd_jam(args):
         count = _write_csv(args.csv, ["j_t", "valid", "margin", "holds"], rows)
         params.update({"d": d, "position": position, "sweep_range": args.sweep_range})
         return {"csv": args.csv, "rows": count}, params, True
-    if args.scenario:
+    if args.scenario is not None:
         scenario = _load_json(args.scenario, jam.JamScenario.from_json)
         report = jam.detect_causal_loops(scenario, tol=tol)
         params["scenario"] = args.scenario
         return report, params, report.acyclic
-    if args.config:
-        cfg = _load_json(args.config, jam.JammingConfiguration.from_json)
-        validation = jam.validate_configuration(cfg, tol=tol)
-        params["config"] = args.config
-        if not validation.valid:
-            return {"validation": validation}, params, False
-        verdict = jam.binary_condition(cfg, tol=tol)
-        return {"validation": validation, "binary": verdict}, params, verdict.holds
-    if args.box or args.builtin:
-        from . import correlations as corr
-
-        box = _load_box(args)
-        jammed = corr.apply_jamming(box, strength=args.strength)
-        unary = corr.check_unary(box, jammed)
-        params.update({"box": args.box or args.builtin, "strength": args.strength})
-        results = {
-            "chsh_before": corr.chsh(box).value,
-            "chsh_after": corr.chsh(jammed).value,
-            "unary": unary,
-            "jammed_box": jammed,
-        }
-        return results, params, unary.holds
-    raise ValueError("jam needs one of --config, --latest, --sweep, --scenario, --box/--builtin")
+    cfg = _load_json(args.config, jam.JammingConfiguration.from_json)
+    validation = jam.validate_configuration(cfg, tol=tol)
+    params["config"] = args.config
+    if not validation.valid:
+        return {"validation": validation}, params, False
+    verdict = jam.binary_condition(cfg, tol=tol)
+    return {"validation": validation, "binary": verdict}, params, verdict.holds
 
 
 def _cmd_boost(args):
@@ -356,9 +365,7 @@ def _cmd_boost(args):
             for perm, bst in sorted(found.items())
         ]
         return {"orderings": orderings, "count": len(orderings)}, params, True
-    if args.v is None:
-        raise ValueError("boost needs --v or --orderings")
-    bst = st.Boost(tuple(_parse_floats(args.v)))
+    bst = st.Boost(args.v)
     params["v"] = bst.v
     transformed = [st.boost(e, bst) for e in events]
     return {"events": transformed}, params, True
@@ -369,14 +376,13 @@ def _cmd_sample(args):
 
     from . import correlations as corr
 
-    if args.model or args.model_file:
-        model = _model_from_args(args)
-        angles = _parse_angles(args.angles or "eq2")
-        box = corr.box_from_model(model, *angles)
-        source = {"model": model, "angles": angles}
+    if args.box is not None or args.builtin is not None:
+        box, name = _load_box(args)
+        source = {"box": name}
     else:
-        box = _load_box(args)
-        source = {"box": args.box or args.builtin}
+        model = _model_from_args(args)
+        box = corr.box_from_model(model, *args.angles)
+        source = {"model": model, "angles": args.angles}
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**32))
@@ -421,51 +427,60 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("chsh", help="CHSH value of a model, box, or strategy family")
-    p.add_argument("--model", help="singlet | superquantum | classical:ID")
-    p.add_argument("--model-file", help="JSON model file")
-    p.add_argument("--angles", help="preset name or a,a',b,b'")
-    p.add_argument("--optimize", action="store_true", help="maximize |CHSH| over angles")
-    p.add_argument("--deterministic", type=_parse_deterministic,
-                   help="'all' or a strategy id 0..15")
-    p.add_argument("--box", help="box JSON file")
-    p.add_argument("--builtin", help="a builtin box name")
-    p.add_argument("--curve", type=_parse_count,
-                   help=f"emit an E(theta) curve with N points, an integer 0..{_MAX_COUNT}")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="singlet | superquantum | classical:ID")
+    source.add_argument("--model-file", help="JSON model file")
+    source.add_argument("--deterministic", type=_parse_deterministic,
+                        help="'all' or a strategy id 0..15")
+    source.add_argument("--box", help="box JSON file")
+    source.add_argument("--builtin", help="a builtin box name")
+    operation = p.add_mutually_exclusive_group()
+    operation.add_argument("--angles", type=_parse_angles, default="eq2",
+                           help="preset name or a,a',b,b' (default eq2)")
+    operation.add_argument("--optimize", action="store_true", help="maximize |CHSH| over angles")
+    operation.add_argument("--curve", type=_parse_count,
+                           help=f"E(theta) curve with N points, an integer 0..{_MAX_COUNT}")
     p.add_argument("--csv", help="CSV output path for --curve")
     common(p)
 
     p = sub.add_parser("nosig", help="no-signalling check of a box")
-    p.add_argument("--box", help="box JSON file")
-    p.add_argument("--builtin", help="a builtin box name")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--box", help="box JSON file")
+    source.add_argument("--builtin", help="a builtin box name")
     p.add_argument("--tol", type=_parse_tol, default=None,
                    help="probability tolerance, a finite number > 0")
     common(p)
 
     p = sub.add_parser("jam", help="jamming configurations, windows, scenarios, boxes")
-    p.add_argument("--config", help="configuration JSON file")
-    p.add_argument("--latest", action="store_true", help="latest jammer time sweep")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="configuration JSON file")
+    source.add_argument("--latest", action="store_true", help="latest jammer time sweep")
+    source.add_argument("--sweep", action="store_true", help="margin vs jammer time CSV")
+    source.add_argument("--scenario", help="multi-jammer scenario JSON file")
+    source.add_argument("--box", help="box JSON file to jam")
+    source.add_argument("--builtin", help="a builtin box name")
     p.add_argument("--d", type=_parse_dimension, default=1,
                    help=f"spatial dimension, an integer 1..{_MAX_COUNT}")
-    p.add_argument("--position", help="jammer spatial position, comma-separated")
-    p.add_argument("--sweep", action="store_true", help="margin vs jammer time CSV")
+    p.add_argument("--position", type=_parse_floats, help="jammer position, comma-separated")
     p.add_argument(
         "--sweep-range",
         type=_parse_sweep_range,
         default=(-1.5, 1.5, 121),
-        help=f"lo,hi,n (n an integer 0..{_MAX_COUNT}; lo may be negative)",
+        help=f"lo,hi,n (n an integer 0..{_MAX_COUNT}, d*n at most {_MAX_COUNT}; "
+        "lo may be negative)",
     )
     p.add_argument("--csv", help="CSV output path for --sweep")
-    p.add_argument("--scenario", help="multi-jammer scenario JSON file")
-    p.add_argument("--box", help="box JSON file to jam")
-    p.add_argument("--builtin", help="a builtin box name")
     p.add_argument("--strength", type=float, default=1.0, help="jamming strength in [0, 1]")
-    p.add_argument("--tol", type=_parse_tol, default=None, help="geometric tolerance, a finite number > 0")
+    p.add_argument("--tol", type=_parse_tol, default=None,
+                   help="geometric tolerance, a finite number > 0 (not with --box/--builtin)")
     common(p)
 
     p = sub.add_parser("boost", help="Lorentz-transform events or enumerate orderings")
     p.add_argument("--events", required=True, help="JSON file: list of [x..., t] events")
-    p.add_argument("--v", help="boost velocity, comma-separated components")
-    p.add_argument(
+    operation = p.add_mutually_exclusive_group(required=True)
+    operation.add_argument("--v", type=_parse_floats,
+                           help="boost velocity, comma-separated components")
+    operation.add_argument(
         "--orderings",
         action="store_true",
         help="list every strict time order some boost realises, with a witness velocity "
@@ -474,11 +489,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("sample", help="finite-statistics CHSH estimate from a box")
-    p.add_argument("--box", help="box JSON file")
-    p.add_argument("--builtin", help="a builtin box name")
-    p.add_argument("--model", help="build the box from a model at --angles")
-    p.add_argument("--model-file")
-    p.add_argument("--angles", help="preset name or a,a',b,b'")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--box", help="box JSON file")
+    source.add_argument("--builtin", help="a builtin box name")
+    source.add_argument("--model", help="build the box from a model at --angles")
+    source.add_argument("--model-file")
+    p.add_argument("--angles", type=_parse_angles, default="eq2",
+                   help="preset name or a,a',b,b' (default eq2)")
     p.add_argument("--n", type=int, required=True, help="samples per setting pair")
     p.add_argument("--seed", type=int, default=None)
     common(p)
@@ -533,10 +550,7 @@ def _fmt_scalar(value) -> str:
 
 
 def main(argv=None) -> int:
-    args, unknown = _build_parser().parse_known_args(argv)
-    if unknown:
-        print(f"error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
-        return 2
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         results, params, ok = _DISPATCH[args.command](args)

@@ -205,9 +205,14 @@ class NoSignallingReport:
     tol: float
 
 
-def check_no_signalling(box: NoSignallingBox, tol: float = PROB_TOL) -> NoSignallingReport:
-    """Largest dependence of one party's marginals on the other's setting."""
-    tol = _resolve_tol(tol)
+def check_no_signalling(
+    box: NoSignallingBox, tol: float | None = PROB_TOL
+) -> NoSignallingReport:
+    """Largest dependence of one party's marginals on the other's setting.
+
+    ``tol`` None means ``PROB_TOL``: ``NONLOCALITY_TOL`` sets the geometric
+    tolerance only."""
+    tol = PROB_TOL if tol is None else _resolve_tol(tol)
     pa, pb = box._marginals()
     # Alice's marginal at (x, 0) against (x, 1); Bob's at (0, y) against (1, y)
     dev = max(max(abs(pa[i] - pa[i + 2]) for i in (0, 1, 4, 5)),
@@ -246,10 +251,13 @@ class UnaryReport:
 
 
 def check_unary(
-    original: NoSignallingBox, jammed: NoSignallingBox, tol: float = PROB_TOL
+    original: NoSignallingBox, jammed: NoSignallingBox, tol: float | None = PROB_TOL
 ) -> UnaryReport:
-    """No single-party statistic may reveal jamming: compare all marginals."""
-    tol = _resolve_tol(tol)
+    """No single-party statistic may reveal jamming: compare all marginals.
+
+    ``tol`` None means ``PROB_TOL``: ``NONLOCALITY_TOL`` sets the geometric
+    tolerance only."""
+    tol = PROB_TOL if tol is None else _resolve_tol(tol)
     (pa, pb), (qa, qb) = original._marginals(), jammed._marginals()
     dev = max(max(abs(p - q) for p, q in zip(pa, qa)), max(abs(p - q) for p, q in zip(pb, qb)))
     return UnaryReport(holds=dev <= tol, max_deviation=dev, tol=tol)
@@ -288,11 +296,6 @@ class ChshResult:
 def chsh(box: NoSignallingBox) -> ChshResult:
     e00, e01, e10, e11 = box._correlations()
     return ChshResult(value=e00 + e01 + e10 - e11, terms=(e00, e01, e10, e11))
-
-
-def chsh_forms(box: NoSignallingBox) -> tuple[float, float, float, float]:
-    """The four CHSH sums of ``box``: ``chsh(box).forms()``."""
-    return chsh(box).forms()
 
 
 def classify_chsh(value: float, tol: float = 1e-6) -> str:
@@ -503,7 +506,7 @@ def model_from_json(data) -> CorrelationModel:
     if not isinstance(data, dict):
         raise ValueError(f"model JSON must be an object with key 'kind', got {type(data).__name__}")
     kind = data.get("kind")
-    if kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
         raise ValueError(
             f"model JSON key 'kind' must be one of {sorted(_MODEL_KEYS)}, got {kind!r}"
         )

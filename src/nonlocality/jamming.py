@@ -44,6 +44,7 @@ from .spacetime import (
     _as_float_tuple,
     _interval_kind,
     _json_number,
+    _require_same_dimension,
     _resolve_tol,
     _squared_interval,
     cone_slack,
@@ -59,9 +60,7 @@ class JammingConfiguration:
     j: Event
 
     def __post_init__(self):
-        dims = {self.a.d, self.b.d, self.j.d}
-        if len(dims) != 1:
-            raise ValueError(f"events have mismatched dimensions: {sorted(dims)}")
+        _require_same_dimension(self.a, self.b, self.j)
 
     @property
     def d(self) -> int:

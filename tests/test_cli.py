@@ -298,6 +298,8 @@ def test_chsh_optimize_output_at_bound_is_unchanged(tmp_path, capsys):
     ({"kind": "classical", "strategy": 3.7}, "'strategy'"),
     ({"kind": "classical", "strategy": True}, "'strategy'"),
     ({"kind": "classical", "strategy": "7"}, "'strategy'"),
+    # an unhashable kind raised TypeError: a traceback and exit 1
+    ({"kind": []}, "'kind'"),
 ])
 def test_chsh_bad_model_file_is_input_error(tmp_path, capsys, spec, key):
     path = write_json(tmp_path / "m.json", spec)
@@ -410,6 +412,25 @@ def test_jam_box(capsys):
     assert report["results"]["unary"]["holds"] is True
 
 
+@pytest.mark.parametrize("source", [("--builtin", "uniform"), ("--box", "missing.json")])
+def test_jam_box_with_geometric_tol_is_input_error(capsys, source):
+    code, out, err = run_cli(capsys, "jam", *source, "--tol", "0.1")
+    assert code == 2 and out == ""
+    assert err == ("error: --tol is the geometric tolerance; jam --box/--builtin checks "
+                   "the unary condition at the probability tolerance 1e-12\n")
+
+
+@pytest.mark.parametrize("args", [["nosig", "--builtin", "singlet-optimal"],
+                                  ["jam", "--builtin", "superquantum-eq2", "--strength", "0.5"]])
+def test_box_reports_ignore_the_geometric_tolerance_env(monkeypatch, capsys, args):
+    # jam echoed the geometric tolerance (1e-9, or NONLOCALITY_TOL) that its
+    # unary check never read
+    expected = run_cli(capsys, *args, "--format", "json")
+    monkeypatch.setenv("NONLOCALITY_TOL", "0.5")
+    assert run_cli(capsys, *args, "--format", "json") == expected
+    assert json.loads(expected[1])["params"]["tol"] == corr.PROB_TOL
+
+
 def test_jam_sweep_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, report = run_json(
@@ -445,6 +466,49 @@ def test_ambiguous_abbreviation_is_input_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "ambiguous option" in err
     assert not out.exists()
+
+
+# Each subcommand reads one source, and chsh does one operation: the flags of
+# each group, with a value each, and the arguments every call needs.
+_EXCLUSIVE_GROUPS = [
+    (["chsh"], {"--model": ["singlet"], "--model-file": ["m.json"], "--deterministic": ["all"],
+                "--box": ["b.json"], "--builtin": ["uniform"]}, True),
+    (["chsh", "--model", "singlet"], {"--angles": ["eq2"], "--optimize": [], "--curve": ["5"]},
+     False),
+    (["nosig"], {"--box": ["b.json"], "--builtin": ["uniform"]}, True),
+    (["jam"], {"--config": ["c.json"], "--latest": [], "--sweep": [], "--scenario": ["s.json"],
+               "--box": ["b.json"], "--builtin": ["uniform"]}, True),
+    (["boost", "--events", "ev.json"], {"--v": ["0.5"], "--orderings": []}, True),
+    (["sample", "--n", "10"], {"--box": ["b.json"], "--builtin": ["uniform"],
+                               "--model": ["singlet"], "--model-file": ["m.json"]}, True),
+]
+_FLAG_PAIRS = [(base, flags, first, second) for base, flags, _ in _EXCLUSIVE_GROUPS
+               for first, second in itertools.combinations(flags, 2)]
+
+
+@pytest.mark.parametrize("base,flags,first,second", _FLAG_PAIRS,
+                         ids=[f"{b[0]} {f} {s}" for b, _, f, s in _FLAG_PAIRS])
+def test_two_flags_of_one_group_are_an_argparse_error(tmp_path, monkeypatch, capsys, base, flags,
+                                                     first, second):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_any(capsys, *base, first, *flags[first], second, *flags[second])
+    assert (code, out) == (2, "")
+    assert f"error: argument {second}: not allowed with argument {first}\n" in err
+
+
+@pytest.mark.parametrize("base,flags", [(b, f) for b, f, required in _EXCLUSIVE_GROUPS if required],
+                         ids=[b[0] for b, _, required in _EXCLUSIVE_GROUPS if required])
+def test_a_call_without_a_source_is_an_argparse_error(capsys, base, flags):
+    code, out, err = run_any(capsys, *base)
+    assert (code, out) == (2, "")
+    assert f"error: one of the arguments {' '.join(flags)} is required\n" in err
+
+
+def test_an_empty_value_selects_its_source(capsys):
+    # --box "" is a file name to open, not a missing source
+    code, out, err = run_cli(capsys, "nosig", "--box", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2]")
 
 
 # A dash-leading value of each number option, in the three forms argparse
@@ -629,6 +693,18 @@ def test_jam_sweep_count_out_of_range_is_input_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("d,n", [(1_000_000, 1_000_000), (2, 500_001), (1000, 1001)])
+def test_jam_sweep_beyond_the_coordinate_cap_is_input_error(tmp_path, capsys, d, n):
+    # d and n were capped apart, so d = n = 10**6 built 10**12 coordinates
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(capsys, "jam", "--sweep", "--d", str(d),
+                                "--sweep-range", f"0,1,{n}", "--csv", str(out))
+    assert code == 2 and stdout == ""
+    assert err == (f"error: --sweep with d = {d} and n = {n} builds d*n = {d * n} "
+                   "coordinates; d*n must be at most 1000000\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lo,hi,n", [
     (-1.5, 1.5, 121),  # the default --sweep-range
     (-1.2, 1.2, 13),
@@ -711,9 +787,9 @@ def test_boost_orderings_reversal(tmp_path, capsys):
 def test_boost_orderings_zero_grid_option_is_input_error(tmp_path, capsys, option):
     events = [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
     path = write_json(tmp_path / "events.json", events)
-    code, out, err = run_cli(capsys, "boost", "--events", path, "--orderings", option, "0")
+    code, out, err = run_any(capsys, "boost", "--events", path, "--orderings", option, "0")
     assert code == 2
-    assert option in err
+    assert f"unrecognized arguments: {option} 0" in err
     assert "Traceback" not in err
 
 
@@ -833,13 +909,17 @@ def test_malformed_box_is_input_error(tmp_path, capsys):
     assert err.startswith(f"error: {path}: ")
 
 
-@pytest.mark.parametrize("args", [
+# every file option, each with the other options it needs
+_FILE_OPTIONS = [
     ("nosig", "--box"),
     ("chsh", "--model-file"),
     ("jam", "--config"),
     ("jam", "--scenario"),
     ("boost", "--orderings", "--events"),
-])
+]
+
+
+@pytest.mark.parametrize("args", _FILE_OPTIONS)
 def test_file_that_is_not_json_is_input_error_naming_the_file(tmp_path, capsys, args):
     path = tmp_path / "in.json"
     path.write_text('{"P": [1, 2')
@@ -847,6 +927,21 @@ def test_file_that_is_not_json_is_input_error_naming_the_file(tmp_path, capsys, 
     assert code == 2
     assert err.startswith(f"error: {path}: Expecting")
     assert "Traceback" not in err and out == ""
+
+
+def _deep_json(depth, kind):
+    return ("[" * depth + "]" * depth) if kind == "list" else ('{"a": ' * depth + "1" + "}" * depth)
+
+
+@pytest.mark.parametrize("args", _FILE_OPTIONS, ids=[a[-1] for a in _FILE_OPTIONS])
+@pytest.mark.parametrize("depth,kind", [(3000, "list"), (100_000, "list"), (3000, "object")])
+def test_deeply_nested_json_is_input_error_naming_the_file(tmp_path, capsys, args, depth, kind):
+    # json.load raised RecursionError: a traceback and exit 1, the false-verdict code
+    path = tmp_path / "in.json"
+    path.write_text(_deep_json(depth, kind))
+    code, out, err = run_cli(capsys, *args, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("args,code", [
@@ -900,8 +995,9 @@ def test_json_number_that_is_not_a_number_is_input_error(tmp_path, capsys, args,
 
 
 def test_bad_angles_is_input_error(capsys):
-    code, out, err = run_cli(capsys, "chsh", "--model", "singlet", "--angles", "1,2")
-    assert code == 2
+    code, out, err = run_any(capsys, "chsh", "--model", "singlet", "--angles", "1,2")
+    assert code == 2 and out == ""
+    assert "argument --angles: expected a preset" in err and "got '1,2'" in err
 
 
 # Values for the fuzz test: dash-leading numbers, nan/inf, out-of-range and
@@ -1013,6 +1109,38 @@ def test_fuzzed_box_files_end_in_a_report_or_an_input_error(tmp_path, capsys, pa
         assert report["ok"] is (code == 0)
 
 
+# Other input files for the fuzz test: random JSON of every type and shape,
+# under the keys the readers look for, and nesting too deep to parse
+_JSON_LEAVES = hst.one_of(
+    hst.none(), hst.booleans(), hst.integers(-3, 3), hst.floats(), hst.text(max_size=3),
+    hst.sampled_from([0.0, 0.5, -1.0, 2.0, 10**400, "singlet", "classical", "table"]),
+)
+_JSON_KEYS = hst.sampled_from(["a", "b", "j", "d", "kind", "strategy", "thetas", "values", "P"])
+_JSON_DATA = hst.recursive(_JSON_LEAVES, lambda inner: hst.one_of(
+    hst.lists(inner, max_size=4), hst.dictionaries(_JSON_KEYS, inner, max_size=4)), max_leaves=16)
+_JSON_FILES = hst.one_of(
+    _JSON_DATA.map(json.dumps),
+    hst.builds(_deep_json, hst.sampled_from([1000, 3000, 100_000]),
+               hst.sampled_from(["list", "object"])),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_JSON_FILES, hst.sampled_from(_FILE_OPTIONS[1:] + [("boost", "--v", "0.5", "--events")]))
+def test_fuzzed_input_files_end_in_a_report_or_an_input_error(tmp_path, capsys, text, args):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = run_any(capsys, *args, str(path), "--format", "json")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        report = json.loads(out)
+        assert report["ok"] is (code == 0)
+
+
 def test_report_json_roundtrips(capsys):
     code, report = run_json(capsys, "chsh", "--model", "singlet", "--angles", "eq2")
     assert json.loads(json.dumps(report)) == report
@@ -1077,9 +1205,11 @@ _REPORT_DIGESTS = [
     (["nosig", "--box", "sig.json"], 1,
      "7d66a7b2ccfb3c8601b86c48d17b6f6dd948f03910d24709fbc790487889228f",
      "24eac4021ae7c0bd252e733bb131418b4aa5fc96928b4d102e49d8d58a810982"),
+    # re-recorded when params.tol became the unary check's 1e-12 (it echoed the
+    # geometric 1e-9); the rest of the report is unchanged
     (["jam", "--builtin", "superquantum-eq2", "--strength", "0.5"], 0,
-     "75f691591e2c1d37fadde61de0d76ebd4c45a7512b47027119c302b0a66527a5",
-     "893c1e177cf0d512862ec46b080f86fe1750b741d53b6d28c196f90aecbf0aa1"),
+     "fbe120cb1e1fb7574a83a855b291187f3db244b84f0581976bb85e0176cd3db4",
+     "b64594981aca6f101cf0f2be96684367f4ef4fea78d228b4ee4db07f73f48ad8"),
     (["sample", "--builtin", "superquantum-eq2", "--n", "100", "--seed", "3"], 0,
      "a9a5162991927aa1e2707be04ff6c09ef61d8e831e0afaf60c78fe2da3584968",
      "625328289e2eeae3d85556a2cdefa77e812485de39bc2baf73c89ef8a896bd03"),

@@ -25,7 +25,6 @@ from nonlocality import (
     check_unary,
     chsh,
     chsh_at_angles,
-    chsh_forms,
     classify_chsh,
     enumerate_deterministic,
     maximize_chsh,
@@ -34,6 +33,7 @@ from nonlocality import (
     sample_outcomes,
 )
 from nonlocality.correlations import (
+    PROB_TOL,
     ChshResult,
     NoSignallingReport,
     UnaryReport,
@@ -390,6 +390,19 @@ def test_product_box_is_no_signalling():
     assert report.passed and report.max_deviation <= 1e-12
 
 
+def test_box_checks_read_none_as_the_probability_tolerance(monkeypatch):
+    # None gave the geometric default or NONLOCALITY_TOL: tol 0.5 here
+    monkeypatch.setenv("NONLOCALITY_TOL", "0.5")
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[0, 0] = [[0.45, 0.45], [0.05, 0.05]]
+    box = NoSignallingBox(probs)
+    for tol in (None, PROB_TOL):
+        report = check_no_signalling(box, tol=tol)
+        assert (report.passed, report.tol) == (False, PROB_TOL)
+        assert check_unary(box, apply_jamming(box, 0.5), tol=tol).tol == PROB_TOL
+    assert check_no_signalling(box, tol=0.5).passed
+
+
 def test_enumerate_deterministic_bound():
     strategies = enumerate_deterministic()
     assert len(strategies) == 16
@@ -422,11 +435,11 @@ def test_chsh_capped_at_four_for_random_boxes(rng):
 
 def test_chsh_forms_place_the_minus_sign_on_each_term(rng):
     # PR box E = [[-1, 1], [1, 1]]: the stated form reads 0, the first one 4
-    assert chsh_forms(box_from_correlation([[-1.0, 1.0], [1.0, 1.0]])) == (4.0, 0.0, 0.0, 0.0)
-    assert max(abs(v) for s in enumerate_deterministic() for v in chsh_forms(s.box)) == 2.0
+    assert chsh(box_from_correlation([[-1.0, 1.0], [1.0, 1.0]])).forms() == (4.0, 0.0, 0.0, 0.0)
+    assert max(abs(v) for s in enumerate_deterministic() for v in chsh(s.box).forms()) == 2.0
     for _ in range(100):
         box = NoSignallingBox(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2))
-        forms = chsh_forms(box)
+        forms = chsh(box).forms()
         assert forms[3] == chsh(box).value  # bit for bit
         e = box.correlations()
         for k, value in enumerate(forms):
