@@ -14,9 +14,11 @@ in every form ``float()`` reads: ``--position -0.4,1.6``, ``--tol -1e-9``,
 
 Each subcommand takes exactly one source (``boost`` one of ``--v`` and
 ``--orderings``; ``chsh`` at most one of ``--angles``, ``--optimize`` and
-``--curve``). A missing or second source and a bad flag value are argparse
-errors: usage and message on stderr, exit 2. A bad file or a value that a
-library check rejects fails as ``error: ...`` on stderr, also exit 2.
+``--curve``). A missing or second source, an option that the chosen source
+does not read (``chsh --builtin X --optimize``, ``jam --config F --d 3``,
+``--csv`` without ``--curve`` or ``--sweep``) and a bad flag value are
+argparse errors: usage and message on stderr, exit 2. A bad file or a value
+that a library check rejects fails as ``error: ...`` on stderr, also exit 2.
 
 Only the subcommands that work on boxes or correlation models import
 ``correlations``: ``chsh``, ``nosig``, ``sample`` and ``jam --box/--builtin``.
@@ -97,6 +99,8 @@ def _parse_tol(text: str) -> float:
 # an unbounded count ran out of memory (MemoryError, exit 1) instead of
 # failing as an input error.
 _MAX_COUNT = 1_000_000
+# jam --sweep-range when it is not given
+_SWEEP_RANGE = (-1.5, 1.5, 121)
 
 
 def _parse_count(text: str, lo: int = 0) -> int:
@@ -278,8 +282,9 @@ def _cmd_chsh(args):
             "note": "search result: heuristic lower bound on the true maximum",
         }
         return results, params, True
-    params["angles"] = args.angles
-    return _chsh_results(corr.chsh_at_angles(model, *args.angles)), params, True
+    angles = args.angles or corr.ANGLE_PRESETS["eq2"]
+    params["angles"] = angles
+    return _chsh_results(corr.chsh_at_angles(model, *angles)), params, True
 
 
 def _cmd_nosig(args):
@@ -300,9 +305,10 @@ def _cmd_jam(args):
                 f"condition at the probability tolerance {corr.PROB_TOL:g}"
             )
         box, name = _load_box(args)
-        jammed = corr.apply_jamming(box, strength=args.strength)
+        strength = 1.0 if args.strength is None else args.strength
+        jammed = corr.apply_jamming(box, strength=strength)
         unary = corr.check_unary(box, jammed)
-        params = {"tol": unary.tol, "box": name, "strength": args.strength}
+        params = {"tol": unary.tol, "box": name, "strength": strength}
         results = {
             "chsh_before": corr.chsh(box).value,
             "chsh_after": corr.chsh(jammed).value,
@@ -312,15 +318,16 @@ def _cmd_jam(args):
         return results, params, unary.holds
     tol = st._resolve_tol(args.tol)
     params = {"tol": tol}
+    d = args.d or 1
     if args.latest:
-        res = jam.latest_jammer_time(args.d, position=args.position, tol=tol)
-        params.update({"d": args.d, "position": res.position})
+        res = jam.latest_jammer_time(d, position=args.position, tol=tol)
+        params.update({"d": d, "position": res.position})
         return res, params, True
     if args.sweep:
         if not args.csv:
             raise ValueError("--sweep requires --csv PATH")
-        d = args.d
-        lo, hi, n = args.sweep_range
+        sweep_range = args.sweep_range or _SWEEP_RANGE
+        lo, hi, n = sweep_range
         if d * n > _MAX_COUNT:
             raise ValueError(
                 f"--sweep with d = {d} and n = {n} builds d*n = {d * n} coordinates; "
@@ -339,7 +346,7 @@ def _cmd_jam(args):
             else:
                 rows.append([f"{jt:.12g}", 0, "nan", 0])
         count = _write_csv(args.csv, ["j_t", "valid", "margin", "holds"], rows)
-        params.update({"d": d, "position": position, "sweep_range": args.sweep_range})
+        params.update({"d": d, "position": position, "sweep_range": sweep_range})
         return {"csv": args.csv, "rows": count}, params, True
     if args.scenario is not None:
         scenario = _load_json(args.scenario, jam.JamScenario.from_json)
@@ -381,8 +388,9 @@ def _cmd_sample(args):
         source = {"box": name}
     else:
         model = _model_from_args(args)
-        box = corr.box_from_model(model, *args.angles)
-        source = {"model": model, "angles": args.angles}
+        angles = args.angles or corr.ANGLE_PRESETS["eq2"]
+        box = corr.box_from_model(model, *angles)
+        source = {"model": model, "angles": angles}
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**32))
@@ -396,7 +404,8 @@ def _cmd_sample(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """``ArgumentParser`` that reads a dash-leading number as a value.
+    """``ArgumentParser`` that reads a dash-leading number as a value, and
+    refuses an option that no flag given reads.
 
     argparse takes an argument for a value when its private
     ``_negative_number_matcher`` matches and no option looks like a negative
@@ -405,11 +414,33 @@ class _Parser(argparse.ArgumentParser):
     matches everything ``float()`` reads after a minus sign. Subparsers are
     built from this class too, as ``add_subparsers`` defaults to the type of
     its parser.
+
+    ``reads`` maps each source or operation flag to the options it reads.
+    An option named there, given without any flag that reads it, would be
+    ignored; argparse groups cannot state that, so ``parse_known_args``
+    makes it an error naming the option and the flags given. Every option
+    named in ``reads`` defaults to None or False, so given means set.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, reads=None, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+        self.reads = reads or {}
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+
+        def given(flag):
+            value = getattr(namespace, flag[2:].replace("-", "_"))
+            return value is not None and value is not False
+
+        for option in dict.fromkeys(o for options in self.reads.values() for o in options):
+            readers = [flag for flag, options in self.reads.items() if option in options]
+            if given(option) and not any(map(given, readers)):
+                chosen = [flag for flag in self.reads if flag != option and given(flag)]
+                self.error(f"argument {option}: not read with {' '.join(chosen)}; "
+                           f"only {' or '.join(readers)} reads it")
+        return namespace, extras
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -426,7 +457,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--timing", action="store_true", help="include wall-clock duration in the report"
         )
 
-    p = sub.add_parser("chsh", help="CHSH value of a model, box, or strategy family")
+    model_reads = ("--angles", "--optimize", "--curve")
+    p = sub.add_parser("chsh", help="CHSH value of a model, box, or strategy family", reads={
+        "--model": model_reads, "--model-file": model_reads, "--deterministic": (), "--box": (),
+        "--builtin": (), "--curve": ("--csv",)})
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", help="singlet | superquantum | classical:ID")
     source.add_argument("--model-file", help="JSON model file")
@@ -435,9 +469,11 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--box", help="box JSON file")
     source.add_argument("--builtin", help="a builtin box name")
     operation = p.add_mutually_exclusive_group()
-    operation.add_argument("--angles", type=_parse_angles, default="eq2",
+    operation.add_argument("--angles", type=_parse_angles,
                            help="preset name or a,a',b,b' (default eq2)")
-    operation.add_argument("--optimize", action="store_true", help="maximize |CHSH| over angles")
+    operation.add_argument("--optimize", action="store_true",
+                           help="maximize |CHSH| over angles; the search stops once it reaches "
+                           "the model's bound (2 classical, 2*sqrt(2) singlet, else 4)")
     operation.add_argument("--curve", type=_parse_count,
                            help=f"E(theta) curve with N points, an integer 0..{_MAX_COUNT}")
     p.add_argument("--csv", help="CSV output path for --curve")
@@ -451,7 +487,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="probability tolerance, a finite number > 0")
     common(p)
 
-    p = sub.add_parser("jam", help="jamming configurations, windows, scenarios, boxes")
+    p = sub.add_parser("jam", help="jamming configurations, windows, scenarios, boxes", reads={
+        "--config": (), "--latest": ("--d", "--position"),
+        "--sweep": ("--d", "--position", "--sweep-range", "--csv"), "--scenario": (),
+        "--box": ("--strength",), "--builtin": ("--strength",)})
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="configuration JSON file")
     source.add_argument("--latest", action="store_true", help="latest jammer time sweep")
@@ -459,18 +498,17 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--scenario", help="multi-jammer scenario JSON file")
     source.add_argument("--box", help="box JSON file to jam")
     source.add_argument("--builtin", help="a builtin box name")
-    p.add_argument("--d", type=_parse_dimension, default=1,
-                   help=f"spatial dimension, an integer 1..{_MAX_COUNT}")
+    p.add_argument("--d", type=_parse_dimension,
+                   help=f"spatial dimension, an integer 1..{_MAX_COUNT} (default 1)")
     p.add_argument("--position", type=_parse_floats, help="jammer position, comma-separated")
     p.add_argument(
         "--sweep-range",
         type=_parse_sweep_range,
-        default=(-1.5, 1.5, 121),
         help=f"lo,hi,n (n an integer 0..{_MAX_COUNT}, d*n at most {_MAX_COUNT}; "
-        "lo may be negative)",
+        "lo may be negative; default -1.5,1.5,121)",
     )
     p.add_argument("--csv", help="CSV output path for --sweep")
-    p.add_argument("--strength", type=float, default=1.0, help="jamming strength in [0, 1]")
+    p.add_argument("--strength", type=float, help="jamming strength in [0, 1] (default 1)")
     p.add_argument("--tol", type=_parse_tol, default=None,
                    help="geometric tolerance, a finite number > 0 (not with --box/--builtin)")
     common(p)
@@ -488,14 +526,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(p)
 
-    p = sub.add_parser("sample", help="finite-statistics CHSH estimate from a box")
+    p = sub.add_parser("sample", help="finite-statistics CHSH estimate from a box", reads={
+        "--box": (), "--builtin": (), "--model": ("--angles",), "--model-file": ("--angles",)})
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--box", help="box JSON file")
     source.add_argument("--builtin", help="a builtin box name")
     source.add_argument("--model", help="build the box from a model at --angles")
     source.add_argument("--model-file")
-    p.add_argument("--angles", type=_parse_angles, default="eq2",
-                   help="preset name or a,a',b,b' (default eq2)")
+    p.add_argument("--angles", type=_parse_angles,
+                   help="preset name or a,a',b,b' for --model (default eq2)")
     p.add_argument("--n", type=int, required=True, help="samples per setting pair")
     p.add_argument("--seed", type=int, default=None)
     common(p)

@@ -323,9 +323,18 @@ class CorrelationModel:
     evaluates an array of angles and equals it element by element. A subclass
     defines ``_corr`` on [0, pi] and may define ``_corr_array`` on an array of
     folded angles; the default calls ``_corr`` point by point.
+
+    ``chsh_bound`` is a certified upper bound on |CHSH| at any four angles,
+    in exact arithmetic; ``maximize_chsh`` stops its starts once it reaches
+    it. The default, ``ALGEBRAIC_BOUND``, holds for every E with |E| <= 1;
+    ``SingletModel`` states Tsirelson's 2*sqrt(2) (Cirel'son, Lett. Math.
+    Phys. 4, 93 (1980)) and ``DeterministicModel`` 2. A subclass that
+    changes E must restate ``chsh_bound``, or a search of it may stop
+    before its maximum.
     """
 
     kind = "abstract"
+    chsh_bound = ALGEBRAIC_BOUND
 
     def correlation(self, theta: float) -> float:
         return self._corr(reduce_angle(theta))
@@ -354,9 +363,16 @@ class CorrelationModel:
 
 
 class SingletModel(CorrelationModel):
-    """Two spin-1/2 particles in the singlet state: E(theta) = -cos(theta)."""
+    """Two spin-1/2 particles in the singlet state: E(theta) = -cos(theta).
+
+    No quantum state gives |CHSH| above 2*sqrt(2) (Cirel'son, Lett. Math.
+    Phys. 4, 93 (1980)), so ``chsh_bound`` is ``QUANTUM_BOUND``. The float
+    2*sqrt(2) lies about 1.9e-16 above the true value, and a sum of four
+    rounded cosines may still land an ulp above it.
+    """
 
     kind = "singlet"
+    chsh_bound = QUANTUM_BOUND
 
     def _corr(self, theta: float) -> float:
         return -math.cos(theta)
@@ -416,9 +432,13 @@ class DeterministicModel(CorrelationModel):
     relative angle the strategy contributes a constant correlation (taken as
     the product of the two setting-0 outcomes); its full per-setting
     structure lives in :func:`enumerate_deterministic`.
+
+    E is a constant +1 or -1, so every four angles give |CHSH| = 2 exactly,
+    also in floats: ``chsh_bound`` is ``CLASSICAL_BOUND``.
     """
 
     kind = "classical"
+    chsh_bound = CLASSICAL_BOUND
 
     def __init__(self, strategy_id: int):
         self.strategy_id = _json_number(strategy_id, "strategy id", integer=True)
@@ -597,9 +617,14 @@ def enumerate_deterministic() -> list[DeterministicStrategy]:
 @dataclass(frozen=True)
 class ChshOptimum:
     """Best CHSH magnitude found by search: a heuristic lower bound on the
-    true maximum (exact for the built-in models at their known optima). A
-    value of 4 is the algebraic bound and so the true maximum of any model
-    with |E| <= 1; the search stops there."""
+    true maximum (exact for the built-in models at their known optima).
+
+    A value at the model's ``chsh_bound`` is certified: the bound holds at
+    all angles, so it is the true maximum, up to rounding, and the search
+    stops there. That is 2 for a deterministic strategy, 2*sqrt(2) for the
+    singlet (Tsirelson's bound; Cirel'son 1980) and 4, the algebraic bound,
+    for every other model. A subclass that changes E must restate
+    ``chsh_bound``, or the search may stop short of its maximum."""
 
     angles: tuple[float, float, float, float]
     value: float  # max |CHSH| found
@@ -633,19 +658,28 @@ def maximize_chsh(
     ``ValueError`` naming the argument unless both steps are finite and
     > 0 and ``extra_starts`` is an integer >= 0.
 
-    Once a start ends at |CHSH| >= 4, the algebraic bound, the remaining
-    starts are skipped: with |E| <= 1 no start can beat it, so the result is
-    the same as with all starts run. A start's own refinement always runs to
-    the end, because its rejected trials may move an angle by an ulp.
+    Once a start ends at |CHSH| >= ``model.chsh_bound``, the remaining
+    starts are skipped, as no start can beat the bound: 2 for
+    ``DeterministicModel``, ``QUANTUM_BOUND`` for ``SingletModel``
+    (Tsirelson's bound; Cirel'son, Lett. Math. Phys. 4, 93 (1980)) and the
+    algebraic bound 4 for every other model. For a deterministic strategy or
+    a model that reaches 4 the result is the one of all starts run, bit for
+    bit. For the singlet a later start may end an ulp above
+    ``QUANTUM_BOUND``, above the true maximum, which is rounding; the search
+    returns the start that first reached the bound instead. A start's own
+    refinement always runs to the end, because its rejected trials may move
+    an angle by an ulp. A subclass that changes E must restate
+    ``chsh_bound``.
 
     The search keeps the four terms of the current angles. Each coarse sweep
     evaluates its two varying terms over the whole grid in one
     ``_corr_array`` call and keeps the first grid point of largest value if
     it beats the current one, as a point-by-point scan with ``>`` would. A
-    refinement trial evaluates only the two terms its angle moves; a
-    rejected trial sets the angle back to ``trial - delta`` and re-evaluates
-    those two terms only if that is an ulp off the old angle. Results are
-    those of evaluating all four terms at every point.
+    refinement trial evaluates only the two terms its angle moves, folding
+    the angles inline with ``reduce_angle``'s operations; a rejected trial
+    sets the angle back to ``trial - delta`` and re-evaluates those two
+    terms only if that is an ulp off the old angle. Results are those of
+    evaluating all four terms at every point.
     """
     for name, step in (("coarse_step", coarse_step), ("final_step", final_step)):
         if not _json_number(step, name) > 0.0:
@@ -656,7 +690,7 @@ def maximize_chsh(
     import numpy as np
 
     corr = model._corr
-    two_pi = 2.0 * math.pi
+    fmod, pi, two_pi = math.fmod, math.pi, 2.0 * math.pi
     evaluations = 0
 
     def fold(theta):
@@ -719,11 +753,13 @@ def maximize_chsh(
                 for delta in (step, -step):
                     old = angles[i]
                     trial = old + delta
-                    t = list(terms)
-                    t[k0] = corr(fold(trial - angles[j0]))
-                    t[k1] = corr(fold(trial - angles[j1]))
+                    t = terms[:]
+                    d = fmod(abs(trial - angles[j0]), two_pi)
+                    t[k0] = corr(two_pi - d if d > pi else d)
+                    d = fmod(abs(trial - angles[j1]), two_pi)
+                    t[k1] = corr(two_pi - d if d > pi else d)
                     evaluations += 2
-                    v = value(t)
+                    v = abs(t[0] + t[1] + t[2] - t[3])
                     if v > val:
                         val, terms, improved = v, t, True
                         angles[i] = trial
@@ -738,7 +774,7 @@ def maximize_chsh(
         if val > best_val:
             best_val = val
             best_angles = tuple(angles)
-        if best_val >= ALGEBRAIC_BOUND:
+        if best_val >= model.chsh_bound:
             break
     return ChshOptimum(
         angles=tuple(best_angles),

@@ -511,6 +511,38 @@ def test_an_empty_value_selects_its_source(capsys):
     assert err.startswith("error: [Errno 2]")
 
 
+# An option that the chosen source does not read, and the error naming it.
+# Each used to be ignored with exit 0: chsh --builtin X --optimize printed the
+# box's CHSH value, and jam --config read the file's own dimension.
+_UNREAD_OPTIONS = [
+    (["chsh", "--builtin", "superquantum-eq2", "--optimize"],
+     "--optimize: not read with --builtin; only --model or --model-file reads it"),
+    (["chsh", "--deterministic", "5", "--optimize"],
+     "--optimize: not read with --deterministic; only --model or --model-file reads it"),
+    (["chsh", "--model", "singlet", "--csv", "out.csv"],
+     "--csv: not read with --model; only --curve reads it"),
+    (["jam", "--latest", "--csv", "out.csv"],
+     "--csv: not read with --latest; only --sweep reads it"),
+    (["jam", "--config", "c.json", "--d", "3"],
+     "--d: not read with --config; only --latest or --sweep reads it"),
+    (["jam", "--latest", "--strength", "0.5"],
+     "--strength: not read with --latest; only --box or --builtin reads it"),
+    (["sample", "--builtin", "uniform", "--n", "10", "--angles", "eq2"],
+     "--angles: not read with --builtin; only --model or --model-file reads it"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _UNREAD_OPTIONS, ids=[" ".join(a) for a, _ in _UNREAD_OPTIONS])
+def test_an_option_the_source_does_not_read_is_an_argparse_error(tmp_path, monkeypatch, capsys,
+                                                                 argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "c.json", {"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.0, 0.5]})
+    code, out, err = run_any(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: argument {message}\n" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 # A dash-leading value of each number option, in the three forms argparse
 # reads: OPT VALUE, OPT=VALUE and OPT abbreviated to a unique prefix (None
 # where the name has no shorter prefix). Each form hands the value to the

@@ -33,6 +33,8 @@ from nonlocality import (
     sample_outcomes,
 )
 from nonlocality.correlations import (
+    ALGEBRAIC_BOUND,
+    CLASSICAL_BOUND,
     PROB_TOL,
     ChshResult,
     NoSignallingReport,
@@ -642,16 +644,19 @@ def test_maximize_counts_evaluations():
     # one round of four sweeps (2 varying terms over the grid each), then 8
     # trials of 2 points at every step size, and 2 more points for each trial
     # that set its angle back an ulp off; plus the initial objective and the
-    # final breakdown.
+    # final breakdown. E = 1/2 gives |S| = 1, short of the bound 4, so every
+    # start runs.
     coarse, final, extra = math.pi / 180.0, 1e-8, 4
     grid = np.arange(0.0, 2.0 * math.pi, coarse).size
     total = 4 + 4
     for start in _search_starts(extra, 0):
         steps, restores = _refinement(start, coarse, final)
         total += 4 + 4 * 2 * grid + steps * 8 * 2 + 2 * restores
-    opt = maximize_chsh(DeterministicModel(5), coarse, final, extra)
+    opt = maximize_chsh(TableModel([0.0, PI], [0.5, 0.5]), coarse, final, extra)
+    assert opt.value == 1.0
     assert opt.evaluations == total
-    assert maximize_chsh(SingletModel()).evaluations > opt.evaluations
+    # the same starts on a model that improves take more points
+    assert maximize_chsh(_PointwiseModel(), coarse, final, extra).evaluations > opt.evaluations
 
 
 def test_maximize_superquantum_runs_one_start():
@@ -665,6 +670,67 @@ def test_maximize_superquantum_runs_one_start():
     opt = maximize_chsh(SuperquantumModel())
     assert opt.value == 4.0
     assert opt.evaluations == 4 + per_start + 4
+
+
+@pytest.mark.parametrize("model", [SingletModel(), DeterministicModel(0), DeterministicModel(5),
+                                   DeterministicModel(15)],
+                         ids=["singlet", "classical-0", "classical-5", "classical-15"])
+def test_maximize_stops_at_the_model_bound_after_one_start(model):
+    # The eq2 start already reaches the model's own bound (2*sqrt(2) for the
+    # singlet, 2 for a strategy), so only its own search runs, and finds
+    # nothing better: the count of test_maximize_superquantum_runs_one_start
+    coarse, final = math.pi / 180.0, 1e-8
+    grid = np.arange(0.0, 2.0 * math.pi, coarse).size
+    steps, restores = _refinement(ANGLE_PRESETS["eq2"], coarse, final)
+    per_start = 4 + 4 * 2 * grid + steps * 8 * 2 + 2 * restores
+    opt = maximize_chsh(model)
+    assert (opt.angles, opt.value) == (ANGLE_PRESETS["eq2"], model.chsh_bound)
+    assert opt.evaluations == 4 + per_start + 4
+
+
+# The models with their bound set to the algebraic one: maximize_chsh runs
+# every start, as it did before it stopped at each model's own bound.
+class _AllStartsSinglet(SingletModel):
+    chsh_bound = ALGEBRAIC_BOUND
+
+
+class _AllStartsDeterministic(DeterministicModel):
+    chsh_bound = ALGEBRAIC_BOUND
+
+
+@pytest.mark.parametrize("sid", range(16))
+def test_maximize_deterministic_stop_matches_all_starts_bit_for_bit(sid):
+    for seed in range(10):
+        opt = maximize_chsh(DeterministicModel(sid), seed=seed)
+        full = maximize_chsh(_AllStartsDeterministic(sid), seed=seed)
+        assert (opt.angles, opt.value, opt.result) == (full.angles, full.value, full.result)
+        assert opt.evaluations < full.evaluations
+
+
+def test_maximize_singlet_stop_returns_the_bound():
+    # With every start run, a later start may beat the eq2 start by an ulp:
+    # 2*sqrt(2) rounds up, so that value lies above the true maximum and is
+    # rounding. The stop keeps the eq2 start, which reaches the bound first.
+    over = math.nextafter(QUANTUM_BOUND, math.inf)
+    found = set()
+    for seed in range(150):
+        opt = maximize_chsh(SingletModel(), seed=seed)
+        assert (opt.angles, opt.value) == (ANGLE_PRESETS["eq2"], QUANTUM_BOUND)
+        full = maximize_chsh(_AllStartsSinglet(), seed=seed)
+        assert full.value in (QUANTUM_BOUND, over)
+        found.add(full.value)
+    assert found == {QUANTUM_BOUND, over}
+
+
+def test_random_angles_stay_within_the_model_bound():
+    angles = np.random.default_rng(20).uniform(-2.0 * PI, 2.0 * PI, size=(4, 10_000))
+    for model in _all_models():
+        e_ab, e_abp, e_apb, e_apbp = (model.correlation_array(angles[p] - angles[q])
+                                      for p, q in ((0, 2), (0, 3), (1, 2), (1, 3)))
+        s = np.abs(e_ab + e_abp + e_apb - e_apbp)
+        assert s.max() <= model.chsh_bound, type(model).__name__
+        if isinstance(model, DeterministicModel):
+            assert (s == CLASSICAL_BOUND).all()
 
 
 @pytest.mark.parametrize("steps", [{"final_step": 0.0}, {"final_step": -1e-8},
