@@ -12,12 +12,13 @@ correlation E(theta) = -cos(theta), and 4 algebraically. The superquantum
 model reaches 4 while keeping uniform single-party marginals.
 
 Every caller passes one box or one angle at a time, so boxes, models and
-their checks are plain ``math`` on floats. numpy is imported only inside
-the code where arrays pay: ``sample_outcomes`` (multinomial draws),
-``correlation_array`` and ``_corr_array``, the coarse sweeps of
-``maximize_chsh``, and the ndarray views ``NoSignallingBox.probs``,
-``correlations()`` and ``marginals()`` and ``TableModel.thetas`` and
-``values``.
+their checks are plain ``math`` on floats, and each model has one E,
+``correlation``. numpy is imported only where arrays pay: in
+``sample_outcomes`` (multinomial draws), in the random starts and coarse
+sweeps of a ``maximize_chsh`` search that runs (``np.interp`` for a table,
+the pointwise default ``_corr_array`` for other models), and in the ndarray
+views ``NoSignallingBox.probs``, ``correlations()``, ``marginals()`` and
+``TableModel.thetas`` and ``values``.
 """
 
 from __future__ import annotations
@@ -192,9 +193,10 @@ def box_from_correlation(e) -> NoSignallingBox:
 
 
 def product_box(p_plus_a, p_plus_b) -> NoSignallingBox:
-    """Uncorrelated box from per-setting P(outcome = +1) for each party."""
-    pa = [(p, 1.0 - p) for p in map(float, p_plus_a)]
-    pb = [(p, 1.0 - p) for p in map(float, p_plus_b)]
+    """Uncorrelated box from per-setting P(outcome = +1) for each party, two
+    finite real numbers each (not bools or strings)."""
+    pa, pb = ([(p, 1.0 - p) for p in _json_numbers(_listed(data), name, (2,))]
+              for data, name in ((p_plus_a, "p_plus_a"), (p_plus_b, "p_plus_b")))
     return NoSignallingBox([[[[a * b for b in qb] for a in qa] for qb in pb] for qa in pa])
 
 
@@ -230,10 +232,11 @@ def apply_jamming(box: NoSignallingBox, strength: float = 1.0) -> NoSignallingBo
 
     Marginals are preserved exactly per setting pair, so the unary condition
     holds by construction, and the fully jammed box is a product box with
-    |CHSH| <= 2. ``strength`` mixes the jammed box with the original
-    (1 = full jamming). The jammer gets no access to outcomes, so selective
-    jamming is impossible by construction.
+    |CHSH| <= 2. ``strength``, a finite real number in [0, 1], mixes the
+    jammed box with the original (1 = full jamming). The jammer gets no
+    access to outcomes, so selective jamming is impossible by construction.
     """
+    strength = _json_number(strength, "strength")
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"strength must lie in [0, 1], got {strength}")
     pa, pb = box._marginals()
@@ -319,13 +322,13 @@ def classify_chsh(value: float, tol: float = 1e-6) -> str:
 class CorrelationModel:
     """A correlation function of the relative measurement angle.
 
-    ``correlation`` evaluates one angle in plain ``math``; ``correlation_array``
-    evaluates an array of angles and equals it element by element. A subclass
-    defines ``_corr`` on [0, pi] and may define ``_corr_array`` on an array of
-    folded angles; the default calls ``_corr`` point by point.
+    ``correlation`` evaluates one angle in plain ``math``; a subclass defines
+    ``_corr`` on [0, pi]. The sweeps of ``maximize_chsh`` call ``_corr_array``
+    on an ndarray of folded angles, equal to ``_corr`` element by element:
+    point by point by default, ``np.interp`` for ``TableModel``.
 
     ``chsh_bound`` is a certified upper bound on |CHSH| at any four angles,
-    in exact arithmetic; ``maximize_chsh`` stops its starts once it reaches
+    in exact arithmetic; ``maximize_chsh`` returns as soon as it reaches
     it. The default, ``ALGEBRAIC_BOUND``, holds for every E with |E| <= 1;
     ``SingletModel`` states Tsirelson's 2*sqrt(2) (Cirel'son, Lett. Math.
     Phys. 4, 93 (1980)) and ``DeterministicModel`` 2. A subclass that
@@ -338,17 +341,6 @@ class CorrelationModel:
 
     def correlation(self, theta: float) -> float:
         return self._corr(reduce_angle(theta))
-
-    def correlation_array(self, thetas) -> np.ndarray:
-        """E at each angle of ``thetas``, folded into [0, pi] as by ``reduce_angle``."""
-        import numpy as np
-
-        t = np.asarray(thetas, dtype=float)
-        finite = np.isfinite(t)
-        if not finite.all():
-            raise ValueError(f"angle must be finite, got {t[~finite][0]}")
-        t = np.fmod(np.abs(t), 2.0 * math.pi)
-        return self._corr_array(np.where(t > math.pi, 2.0 * math.pi - t, t))
 
     def _corr(self, theta: float) -> float:
         raise NotImplementedError
@@ -377,11 +369,6 @@ class SingletModel(CorrelationModel):
     def _corr(self, theta: float) -> float:
         return -math.cos(theta)
 
-    def _corr_array(self, t: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return -np.cos(t)
-
 
 _BAND_LO = math.pi / 4.0  # superquantum E is +1 up to here
 _BAND_HI = 3.0 * math.pi / 4.0  # and -1 from here
@@ -399,9 +386,10 @@ class SuperquantumModel(CorrelationModel):
 
     E(theta) = 1 up to pi/4, -1 from 3*pi/4, and a smooth strictly monotone
     interpolant in between. The interpolant is pluggable; the default keeps
-    the antisymmetry E(pi - theta) = -E(theta) exactly. A custom interpolant
-    is called with one float at a time, on (pi/4, 3*pi/4) only, also by
-    ``correlation_array``; the default is evaluated as an array.
+    the antisymmetry E(pi - theta) = -E(theta) exactly. An interpolant is
+    called with one float at a time, on (pi/4, 3*pi/4) only, also by the
+    sweeps of ``maximize_chsh``; the default model is at 4 at eq2 and never
+    sweeps.
     """
 
     kind = "superquantum"
@@ -415,13 +403,6 @@ class SuperquantumModel(CorrelationModel):
         if theta >= _BAND_HI:
             return -1.0
         return self.interpolant(theta)
-
-    def _corr_array(self, t: np.ndarray) -> np.ndarray:
-        if self.interpolant is not _default_interpolant:
-            return super()._corr_array(t)
-        import numpy as np
-
-        return np.where(t <= _BAND_LO, 1.0, np.where(t >= _BAND_HI, -1.0, np.sin(2.0 * t)))
 
 
 class DeterministicModel(CorrelationModel):
@@ -450,11 +431,6 @@ class DeterministicModel(CorrelationModel):
 
     def _corr(self, theta: float) -> float:
         return float(self.alice[0] * self.bob[0])
-
-    def _corr_array(self, t: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.full(t.shape, float(self.alice[0] * self.bob[0]))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "strategy": self.strategy_id}
@@ -616,15 +592,10 @@ def enumerate_deterministic() -> list[DeterministicStrategy]:
 
 @dataclass(frozen=True)
 class ChshOptimum:
-    """Best CHSH magnitude found by search: a heuristic lower bound on the
-    true maximum (exact for the built-in models at their known optima).
-
-    A value at the model's ``chsh_bound`` is certified: the bound holds at
-    all angles, so it is the true maximum, up to rounding, and the search
-    stops there. That is 2 for a deterministic strategy, 2*sqrt(2) for the
-    singlet (Tsirelson's bound; Cirel'son 1980) and 4, the algebraic bound,
-    for every other model. A subclass that changes E must restate
-    ``chsh_bound``, or the search may stop short of its maximum."""
+    """Best |CHSH| found: the true maximum, up to rounding, where it reaches
+    the model's ``chsh_bound`` (2 for a deterministic strategy, 2*sqrt(2)
+    for the singlet, 4 otherwise; see ``maximize_chsh``), else a heuristic
+    lower bound on it."""
 
     angles: tuple[float, float, float, float]
     value: float  # max |CHSH| found
@@ -656,20 +627,20 @@ def maximize_chsh(
     the known-good presets plus ``extra_starts`` seeded random starts so
     custom models are not at the mercy of a single basin. Raises
     ``ValueError`` naming the argument unless both steps are finite and
-    > 0 and ``extra_starts`` is an integer >= 0.
+    > 0 and ``extra_starts`` and ``seed`` are integers >= 0.
 
-    Once a start ends at |CHSH| >= ``model.chsh_bound``, the remaining
-    starts are skipped, as no start can beat the bound: 2 for
-    ``DeterministicModel``, ``QUANTUM_BOUND`` for ``SingletModel``
-    (Tsirelson's bound; Cirel'son, Lett. Math. Phys. 4, 93 (1980)) and the
-    algebraic bound 4 for every other model. For a deterministic strategy or
-    a model that reaches 4 the result is the one of all starts run, bit for
-    bit. For the singlet a later start may end an ulp above
-    ``QUANTUM_BOUND``, above the true maximum, which is rounding; the search
-    returns the start that first reached the bound instead. A start's own
-    refinement always runs to the end, because its rejected trials may move
-    an angle by an ulp. A subclass that changes E must restate
-    ``chsh_bound``.
+    Before each start the best |CHSH| so far is tested against
+    ``model.chsh_bound``, which no start can beat, and the search ends once
+    it is there: 2 for ``DeterministicModel``, ``QUANTUM_BOUND`` for
+    ``SingletModel`` (Tsirelson's bound; Cirel'son, Lett. Math. Phys. 4, 93
+    (1980)) and the algebraic bound 4 for every other model. The first value
+    tested is the eq2 preset's. It is at the bound for the singlet, every
+    deterministic strategy, the default superquantum model and any table at
+    4 there, so they get eq2 after 8 evaluations, with no sweep and no
+    numpy. A model that reaches 4 later gets the result of all starts run,
+    bit for bit. A start's own refinement always runs to the end, because
+    its rejected trials may move an angle by an ulp. A subclass that changes
+    E must restate ``chsh_bound``.
 
     The search keeps the four terms of the current angles. Each coarse sweep
     evaluates its two varying terms over the whole grid in one
@@ -687,8 +658,9 @@ def maximize_chsh(
     extra_starts = _json_number(extra_starts, "extra_starts", integer=True)
     if extra_starts < 0:
         raise ValueError(f"extra_starts must be >= 0, got {extra_starts}")
-    import numpy as np
-
+    seed = _json_number(seed, "seed", integer=True)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     corr = model._corr
     fmod, pi, two_pi = math.fmod, math.pi, 2.0 * math.pi
     evaluations = 0
@@ -719,14 +691,21 @@ def maximize_chsh(
         now[k0], now[k1] = varying
         return value(now), varying
 
-    starts = [ANGLE_PRESETS["eq2"], ANGLE_PRESETS["singlet-optimal"], (0.0,) * 4]
-    rng = np.random.default_rng(seed)
-    starts += [tuple(rng.uniform(0.0, two_pi, size=4).tolist()) for _ in range(extra_starts)]
+    def starts():
+        # the presets, then the seeded random starts, drawn when reached
+        yield from (ANGLE_PRESETS["eq2"], ANGLE_PRESETS["singlet-optimal"], (0.0,) * 4)
+        rng = np.random.default_rng(seed)
+        for _ in range(extra_starts):
+            yield tuple(rng.uniform(0.0, two_pi, size=4).tolist())
 
-    best_angles = starts[0]
+    best_angles = ANGLE_PRESETS["eq2"]
     best_val = value(all_terms(best_angles))
-    line = np.arange(0.0, two_pi, coarse_step)
-    for start in starts:
+    for start in starts():
+        if best_val >= model.chsh_bound:
+            break
+        import numpy as np  # only a search that runs sweeps needs it
+
+        line = np.arange(0.0, two_pi, coarse_step)
         angles = list(start)
         terms = all_terms(angles)
         val = value(terms)
@@ -774,8 +753,6 @@ def maximize_chsh(
         if val > best_val:
             best_val = val
             best_angles = tuple(angles)
-        if best_val >= model.chsh_bound:
-            break
     return ChshOptimum(
         angles=tuple(best_angles),
         value=best_val,

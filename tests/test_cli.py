@@ -204,7 +204,8 @@ def test_chsh_curve_rows_are_pointwise_correlations(tmp_path, capsys, model):
 
 # `chsh --optimize --format json` output recorded before the search stopped
 # at the algebraic bound: the eq2 start reaches 4 for the superquantum model,
-# a later start for the step table.
+# a later start for the step table. Since then only the note changed: both
+# values reach the bound 4, so the note calls them certified.
 _SUPERQUANTUM_OPTIMUM_JSON = """{
   "command": "chsh",
   "duration_s": null,
@@ -224,7 +225,7 @@ _SUPERQUANTUM_OPTIMUM_JSON = """{
       2.356194490192345
     ],
     "classification": "superquantum",
-    "note": "search result: heuristic lower bound on the true maximum",
+    "note": "certified maximum: the value reaches the model's CHSH bound",
     "terms": [
       1.0,
       1.0,
@@ -266,7 +267,7 @@ _STEP_TABLE_OPTIMUM_JSON = """{
       4.583562073612696
     ],
     "classification": "superquantum",
-    "note": "search result: heuristic lower bound on the true maximum",
+    "note": "certified maximum: the value reaches the model's CHSH bound",
     "terms": [
       -1.0,
       -1.0,
@@ -1291,15 +1292,17 @@ def test_report_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys, ar
 
 
 # SHA-256 of stdout in JSON and in text format of chsh --optimize on models
-# whose search runs every start, recorded while each refinement trial still
+# whose search ran every start, recorded while each refinement trial still
 # evaluated all four CHSH terms and the box checks still looped per setting.
+# The singlet and classical:5 entries were re-recorded when their note became
+# "certified maximum"; the note is the only line of those reports that changed.
 _OPTIMUM_DIGESTS = [
     (["--model", "singlet"],
-     "f28acfd7fede2e43db3236ca63d6a37468eda16c578ca67264d3fffc94e3436b",
-     "63966ba3a76fcd3061fe8963b2dce69a14339f8cc8f42b86eef10705a7795bc4"),
+     "6d2e773237abefdc83ad6a5ee1958b8c201e5c612224a6e519d10ff322d011ab",
+     "55934667961399436befab6521f2dbc36c85769aabeb0710500d9d6b762d60f1"),
     (["--model", "classical:5"],
-     "2622090cca0e6f3a2b13b5248206f4accf010e81e38c5e379681d855d54e7ea0",
-     "6ec92c6296535388feb3d47dcb85f37407afb83c1db15fd008a59dbc021a4f8b"),
+     "00ce281952b949dce757b2c95160e929e2765c3c0e961a8718887444dd4f0348",
+     "39d1d7e13197898807a6ac512bcf6d510f68d196be2ec2a4fc72e1be70ed7d62"),
     (["--model-file", "smooth.json"],
      "8b8280875b1dd37ae5483efbb87d66e5f57c7b93433c74a55cf6a8f33ee941e2",
      "b752da7fa6229338ebdedd1ee376e70fdf1f12cdc82921feef6611fd75a8b0a4"),
@@ -1321,8 +1324,8 @@ def test_chsh_optimize_outputs_match_recorded_digests(tmp_path, monkeypatch, cap
 
 # The geometry subcommands, and every subcommand's --help, run without numpy:
 # the script runs them through main() with numpy importable or blocked, and
-# reports each exit code and stdout, the sweep CSV (if written) and the
-# modules loaded.
+# reports each exit code and stdout, the sweep and curve CSVs (if written)
+# and the modules loaded.
 _GEOMETRY_COMMANDS = [
     ["jam", "--latest", "--d", "2", "--position", "0.3,0.4"],
     ["jam", "--latest", "--d", "1", "--format", "json"],
@@ -1350,11 +1353,13 @@ for args in json.loads(sys.argv[2]):
             code = exc.code
     runs.append([code, out.getvalue()])
 loaded = [name for name in ("numpy", "nonlocality.correlations") if sys.modules.get(name)]
-try:
-    with open("sweep.csv") as fh:
-        csv = fh.read()
-except FileNotFoundError:
-    csv = None
+csv = {}
+for name in ("sweep.csv", "curve.csv"):
+    try:
+        with open(name) as fh:
+            csv[name] = fh.read()
+    except FileNotFoundError:
+        pass
 print(json.dumps({"runs": runs, "csv": csv, "loaded": loaded}))
 """
 
@@ -1394,7 +1399,8 @@ def test_geometry_subcommands_run_without_numpy(tmp_path):
     assert importable["loaded"] == []
 
 
-# The box subcommands, and chsh on a model at given angles, run on plain
+# The box subcommands, chsh on a model at given angles, chsh --curve and the
+# certified chsh --optimize (each model reaches its bound at eq2) run on plain
 # floats: their reports are the same with numpy blocked, and with numpy
 # importable none of them loads it.
 _BOX_COMMANDS = [
@@ -1409,6 +1415,10 @@ _BOX_COMMANDS = [
     (["chsh", "--deterministic", "all"], 0),
     (["jam", "--builtin", "superquantum-eq2", "--strength", "0.5"], 0),
     (["jam", "--box", "sig.json"], 0),
+    (["chsh", "--optimize", "--model", "singlet"], 0),
+    (["chsh", "--optimize", "--model", "superquantum"], 0),
+    (["chsh", "--optimize", "--model", "classical:5"], 0),
+    (["chsh", "--model", "superquantum", "--curve", "9", "--csv", "curve.csv"], 0),
 ]
 
 

@@ -127,7 +127,8 @@ def test_table_values_clipped_to_unit_interval():
     assert model.values.tolist() == [1.0, 1.0, -1.0, -1.0]
     assert model.to_json()["values"] == [1.0, 1.0, -1.0, -1.0]
     assert model.correlation(PI / 8) == 1.0
-    assert maximize_chsh(model).value == 4.0
+    opt = maximize_chsh(model)
+    assert (opt.value, opt.evaluations) == (4.0, 8)  # certified at eq2: no start runs
 
 
 def test_table_scalar_equals_array_at_edges():
@@ -146,7 +147,7 @@ def test_table_scalar_equals_array_at_edges():
         thetas += [math.nextafter(t, math.inf) for t in nodes]
         thetas += np.linspace(0.0, PI, 1001).tolist()
         thetas = [t for t in thetas if 0.0 <= t <= PI]
-        want = model.correlation_array(np.array(thetas))
+        want = model._corr_array(np.array(thetas))
         got = np.array([model.correlation(t) for t in thetas])
         assert np.array_equal(got, want), nodes
         for t, v in zip(nodes, model.values.tolist()):
@@ -175,24 +176,27 @@ def _all_models():
     ] + [DeterministicModel(sid) for sid in range(16)]
 
 
-def test_correlation_array_equals_scalar_exactly():
+def test_corr_array_equals_scalar_exactly():
+    # the sweeps of a search that runs evaluate a table by np.interp and any
+    # other model point by point; both must match the scalar E
     special = [0.0, PI / 4, 3 * PI / 4, PI, 2 * PI, 4 * PI, -PI / 4, -3 * PI / 4, -PI,
                -2 * PI, 13.0, -13.0, 4 * PI + 0.5, -(4 * PI + 0.5), 1e3, -1e3]
-    thetas = np.concatenate([np.linspace(-5 * PI, 5 * PI, 4001), special])
-    for model in _all_models():
-        got = model.correlation_array(thetas)
+    thetas = np.linspace(-5 * PI, 5 * PI, 4001).tolist() + special
+    folded = np.array([reduce_angle(t) for t in thetas])
+    for model in _all_models()[2:7]:  # the custom interpolants, the tables and _PointwiseModel
+        got = model._corr_array(folded)
         want = np.array([model.correlation(t) for t in thetas])
-        assert got.shape == thetas.shape
+        assert got.shape == folded.shape
         assert np.array_equal(got, want), type(model).__name__
-        grid = thetas[:4000].reshape(40, 100)
-        assert np.array_equal(model.correlation_array(grid), want[:4000].reshape(40, 100))
+        grid = folded[:4000].reshape(40, 100)
+        assert np.array_equal(model._corr_array(grid), want[:4000].reshape(40, 100))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_correlation_array_rejects_nonfinite(bad):
+def test_correlation_rejects_nonfinite(bad):
     for model in _all_models():
         with pytest.raises(ValueError, match="finite"):
-            model.correlation_array([0.1, bad, 0.2])
+            model.correlation(bad)
 
 
 @pytest.mark.parametrize("data,key", [
@@ -390,6 +394,27 @@ def test_product_box_is_no_signalling():
     box = product_box((0.3, 0.8), (0.6, 0.1))
     report = check_no_signalling(box)
     assert report.passed and report.max_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("pa,pb,message", [
+    # "0.5" and True used to pass through float(); a list of 1 or 3 failed
+    # as "box table must be a list of 2 items" without naming the argument
+    (("0.5", 0.5), (0.5, 0.5), "p_plus_a[0] must be a finite number"),
+    ((0.5, 0.5), (0.5, True), "p_plus_b[1] must be a finite number"),
+    ((0.5,), (0.5, 0.5), "p_plus_a must be a list of 2 items"),
+    ((0.5, 0.5), (0.5, 0.5, 0.5), "p_plus_b must be a list of 2 items"),
+    ((0.5, math.nan), (0.5, 0.5), "p_plus_a[1] must be a finite number"),
+])
+def test_product_box_reads_json_numbers(pa, pb, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        product_box(pa, pb)
+
+
+@pytest.mark.parametrize("strength", ["0.5", None, True, math.nan, math.inf])
+def test_apply_jamming_reads_strength_as_a_json_number(strength):
+    # "0.5" and None used to raise TypeError, and True jammed fully
+    with pytest.raises(ValueError, match="strength must be a finite number"):
+        apply_jamming(builtin_box("singlet-optimal"), strength)
 
 
 def test_box_checks_read_none_as_the_probability_tolerance(monkeypatch):
@@ -660,32 +685,25 @@ def test_maximize_counts_evaluations():
 
 
 def test_maximize_superquantum_runs_one_start():
-    # the eq2 start is already at 4, so only its own search runs: one
-    # objective, one round of sweeps that find nothing better and the full
-    # refinement, as for the constant model in the test above
-    coarse, final = math.pi / 180.0, 1e-8
-    grid = np.arange(0.0, 2.0 * math.pi, coarse).size
-    steps, restores = _refinement(ANGLE_PRESETS["eq2"], coarse, final)
-    per_start = 4 + 4 * 2 * grid + steps * 8 * 2 + 2 * restores
+    # the eq2 objective is already at 4, so no start runs: 4 points for the
+    # objective and 4 for the final breakdown
     opt = maximize_chsh(SuperquantumModel())
-    assert opt.value == 4.0
-    assert opt.evaluations == 4 + per_start + 4
+    assert (opt.angles, opt.value) == (ANGLE_PRESETS["eq2"], SuperquantumModel.chsh_bound)
+    assert opt.result.terms == (1.0, 1.0, 1.0, -1.0)
+    assert opt.evaluations == 8
 
 
 @pytest.mark.parametrize("model", [SingletModel(), DeterministicModel(0), DeterministicModel(5),
                                    DeterministicModel(15)],
                          ids=["singlet", "classical-0", "classical-5", "classical-15"])
 def test_maximize_stops_at_the_model_bound_after_one_start(model):
-    # The eq2 start already reaches the model's own bound (2*sqrt(2) for the
-    # singlet, 2 for a strategy), so only its own search runs, and finds
-    # nothing better: the count of test_maximize_superquantum_runs_one_start
-    coarse, final = math.pi / 180.0, 1e-8
-    grid = np.arange(0.0, 2.0 * math.pi, coarse).size
-    steps, restores = _refinement(ANGLE_PRESETS["eq2"], coarse, final)
-    per_start = 4 + 4 * 2 * grid + steps * 8 * 2 + 2 * restores
+    # The eq2 objective already reaches the model's own bound (2*sqrt(2) for
+    # the singlet, 2 for a strategy), so no start runs: the count of
+    # test_maximize_superquantum_runs_one_start
     opt = maximize_chsh(model)
     assert (opt.angles, opt.value) == (ANGLE_PRESETS["eq2"], model.chsh_bound)
-    assert opt.evaluations == 4 + per_start + 4
+    assert opt.result == chsh_at_angles(model, *ANGLE_PRESETS["eq2"])
+    assert opt.evaluations == 8
 
 
 # The models with their bound set to the algebraic one: maximize_chsh runs
@@ -723,14 +741,12 @@ def test_maximize_singlet_stop_returns_the_bound():
 
 
 def test_random_angles_stay_within_the_model_bound():
-    angles = np.random.default_rng(20).uniform(-2.0 * PI, 2.0 * PI, size=(4, 10_000))
+    quadruples = np.random.default_rng(20).uniform(-2.0 * PI, 2.0 * PI, size=(10_000, 4)).tolist()
     for model in _all_models():
-        e_ab, e_abp, e_apb, e_apbp = (model.correlation_array(angles[p] - angles[q])
-                                      for p, q in ((0, 2), (0, 3), (1, 2), (1, 3)))
-        s = np.abs(e_ab + e_abp + e_apb - e_apbp)
-        assert s.max() <= model.chsh_bound, type(model).__name__
+        s = [abs(chsh_at_angles(model, *angles).value) for angles in quadruples]
+        assert max(s) <= model.chsh_bound, type(model).__name__
         if isinstance(model, DeterministicModel):
-            assert (s == CLASSICAL_BOUND).all()
+            assert set(s) == {CLASSICAL_BOUND}
 
 
 @pytest.mark.parametrize("steps", [{"final_step": 0.0}, {"final_step": -1e-8},
@@ -749,12 +765,21 @@ def test_maximize_rejects_nonpositive_steps(steps):
     ({"extra_starts": -3}, "extra_starts must be >= 0"),
     ({"extra_starts": 2.5}, "extra_starts must be an integer"),
     ({"extra_starts": "2"}, "extra_starts must be an integer"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": "3"}, "seed must be an integer"),
+    ({"seed": None}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
 ])
 def test_maximize_rejects_bad_arguments(kwargs, message):
     # coarse_step=inf used to fail as "angle must be finite", extra_starts=-3
-    # ran no extra start and 2.5 raised a bare TypeError
-    with pytest.raises(ValueError, match=message):
-        maximize_chsh(SingletModel(), **kwargs)
+    # ran no extra start and 2.5 raised a bare TypeError; seed=-1 failed in
+    # numpy without naming the seed, 1.5 and "3" raised TypeError and None
+    # drew OS entropy. Each is checked before the certified singlet returns
+    # and before a table searches.
+    for model in (SingletModel(), TableModel([0.0, PI], [0.5, -0.5])):
+        with pytest.raises(ValueError, match=message):
+            maximize_chsh(model, **kwargs)
 
 
 def test_maximize_takes_integral_extra_starts():
