@@ -381,7 +381,8 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
     tol*|dx|, and the order is kept iff the minimum-norm point of the shrunk,
     closed half-spaces has norm < 1 - tol. That point is the witness, so each
     of its boosted time steps is at least tol*|dx|, less 1e-12*|dx| of
-    rounding.
+    rounding; tol must exceed that allowance, or a witness could leave two
+    events simultaneous.
 
     Orders are built by depth-first search over prefixes: each added event
     adds one half-space, and a prefix whose half-spaces miss the ball
@@ -396,10 +397,23 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
     call (its order, its half-spaces and a flag per event not yet placed),
     in lists that grow on the way down and shrink on the way up.
 
-    Returns a map from index permutation to witness boost. Raises
-    ``ValueError`` for fewer than 2 or more than ``MAX_ORDERING_EVENTS``
-    events, for a pair that is not spacelike, or for a pair whose |dx|^2
-    or s^2 overflows (|dx| or |dt| above about 1.3e154).
+    In d = 1 no search runs. The C(n, 2) simultaneity velocities v = dt/dx
+    cut (-1, 1) into gaps, and every velocity in one gap gives one order. A
+    sweep up from v = -1, which swaps each pair at its own velocity, gives
+    the order of every gap, and each order is tested along its own path by
+    the prefix search's rules: keep w while a*w <= b + 1e-12, else reject
+    if b > 1e-12, or project w to b*a and reject if an earlier row fails or
+    |w| >= 1 - tol. The gaps are complete: a kept order's witness lies at
+    least tol - 1e-12 inside the order's open cell, so the gap that holds
+    the witness has that order. The bits are the prefix search's, since
+    u = dx/|dx| is exactly +-1 (sqrt(fl(dx^2)) = |dx|), which turns
+    ``_dot`` and ``_row_point`` into these scalar operations.
+
+    Returns a map from index permutation to witness boost, in lexicographic
+    order of the permutations. Raises ``ValueError`` for fewer than 2 or
+    more than ``MAX_ORDERING_EVENTS`` events, for tol <= 1e-12, for a pair
+    that is not spacelike, or for a pair whose |dx|^2 or s^2 overflows (|dx|
+    or |dt| above about 1.3e154).
     """
     n = len(events)
     if n < 2:
@@ -411,6 +425,11 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
         )
     d = _require_same_dimension(*events)
     tol = default_tol()
+    if tol <= 1e-12:
+        raise ValueError(
+            f"orderings need tol > 1e-12, the rounding allowance of their test, or an "
+            f"order may leave two events simultaneous; got tol = {tol!r} from {TOL_ENV_VAR}"
+        )
     # step[i * n + k]: the half-space u.v <= dt/|dx| - tol that puts k after
     # i; the one that puts i after k is its negation, shrunk by tol too
     step = [None] * (n * n)
@@ -435,6 +454,8 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
             beta = dt / length
             step[i * n + k] = (u, beta - tol)
             step[k * n + i] = (tuple(-c for c in u), -beta - tol)
+    if d == 1:
+        return _orderings_1d(events, step, tol)
 
     found: dict[tuple[int, ...], Boost] = {}
     faces: dict[tuple[int, ...], tuple[float, ...] | None] = {}
@@ -471,4 +492,52 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
     if 0.0 < 1.0 - tol:
         for i in range(n):
             extend(i, (0.0,) * d)
+    return found
+
+
+def _orderings_1d(events, step, tol) -> dict[tuple[int, ...], Boost]:
+    """``achievable_orderings`` in d = 1, given its half-spaces ``step``:
+    the order of each gap between the sorted simultaneity velocities, kept
+    if it passes the prefix search's rules along its own path."""
+    n = len(events)
+    found: dict[tuple[int, ...], Boost] = {}
+    if not 0.0 < 1.0 - tol:
+        return found
+    # pos[i]: how many events come before event i, swept upwards in v from
+    # -1; swaps[cut]: the pairs (first, last) whose order flips at v = cut
+    pos = [0] * n
+    swaps: dict[float, list[tuple[int, int]]] = {}
+    for i, ei in enumerate(events):
+        for k in range(i + 1, n):
+            dx = events[k].x[0] - ei.x[0]
+            cut = (events[k].t - ei.t) / dx
+            # below the cut, t' = gamma (t - v x) puts k after i iff dx > 0;
+            # |cut| < 1, since the pair loop found fl(dt^2) < fl(dx^2)
+            first, last = (i, k) if dx > 0.0 else (k, i)
+            swaps.setdefault(cut, []).append((first, last))
+            pos[last] += 1
+    orders = {tuple(sorted(range(n), key=pos.__getitem__))}
+    for cut in sorted(swaps):
+        for first, last in swaps[cut]:
+            pos[first] += 1
+            pos[last] -= 1
+        orders.add(tuple(sorted(range(n), key=pos.__getitem__)))
+    for order in sorted(orders):
+        # the prefix search's rules on one path: 0.0 + a*w <= b + 1e-12 for
+        # every row so far, with a = +-1, reads lo <= w <= hi, and its norm
+        # sqrt(fl(w^2)) is |w| wherever it can reach 1 - tol
+        w = 0.0
+        lo, hi = -math.inf, math.inf
+        for i, k in zip(order, order[1:]):
+            (a,), b = step[i * n + k]
+            if a > 0.0:
+                hi = min(hi, b + 1e-12)
+            else:
+                lo = max(lo, -(b + 1e-12))
+            if not lo <= w <= hi:
+                w = 0.0 + b * a
+                if b > 1e-12 or not lo <= w <= hi or not abs(w) < 1.0 - tol:
+                    break
+        else:
+            found[order] = Boost((w,))
     return found

@@ -842,6 +842,16 @@ def test_boost_orderings_overflow_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err and out == ""
 
 
+def test_boost_orderings_tol_within_rounding_allowance_is_input_error(tmp_path, monkeypatch, capsys):
+    # both orders of two simultaneous events used to come back, each with v = 0
+    monkeypatch.setenv("NONLOCALITY_TOL", "1e-15")
+    path = write_json(tmp_path / "events.json", [[0.0, 0.0], [1.0, 0.0]])
+    code, out, err = run_cli(capsys, "boost", "--events", path, "--orderings")
+    assert code == 2
+    assert "tol > 1e-12" in err and "NONLOCALITY_TOL" in err
+    assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "0", "abc"])
 def test_bad_tolerance_env_is_input_error(monkeypatch, capsys, value):
     monkeypatch.setenv("NONLOCALITY_TOL", value)

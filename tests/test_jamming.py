@@ -10,6 +10,7 @@ from nonlocality import (
     Event,
     JammingConfiguration,
     JamScenario,
+    achievable_orderings,
     apply_jamming,
     binary_condition,
     box_from_correlation,
@@ -227,6 +228,37 @@ def test_binary_witness_is_sound(rng):
         assert cone_slack(w, cfg.j) < 1e-9
         found += 1
     assert found > 50
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_binary_condition_is_a_statement_about_frames(d):
+    # the paper's headline claim, one configuration at a time: in d >= 2 the
+    # binary condition holds iff no boost puts j after both measurements; in
+    # d = 1 every failing jammer can come last, and so can a holding one.
+    # Holding triples in a random frame alternate with free jammers, which
+    # in d = 3 almost never hold.
+    rng = np.random.default_rng(820 + d)
+    seen = {True: 0, False: 0}
+    holding_j_last = 0
+    while sum(seen.values()) < 300:
+        if sum(seen.values()) % 2:
+            cfg = random_holding_configuration(rng, d)
+        else:
+            cfg = random_valid_configuration(rng, d)
+        verdict = binary_condition(cfg)
+        if abs(verdict.margin) < 1e-6:
+            continue
+        seen[verdict.holds] += 1
+        j_last = any(order[-1] == 2 for order in achievable_orderings([cfg.a, cfg.b, cfg.j]))
+        if d >= 2:
+            assert verdict.holds != j_last, (cfg, verdict)
+        elif not verdict.holds:
+            assert j_last, (cfg, verdict)
+        else:
+            holding_j_last += j_last
+    assert seen[True] and seen[False]
+    if d == 1:
+        assert holding_j_last  # the reversal of cause and effect
 
 
 def test_binary_closed_form_matches_ridge_search():

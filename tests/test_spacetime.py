@@ -405,7 +405,7 @@ def _assert_witnesses(events, found):
             assert gap >= (tol - 1e-12) * dx, (order, bst.v, gap)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_orderings_1d_match_velocity_intervals(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(40):
@@ -440,14 +440,32 @@ def test_orderings_reject_too_many_events():
     assert len(achievable_orderings(events[:4])) == 2  # collinear: by position, either way
 
 
+@pytest.mark.parametrize("value", ["1e-15", "1e-12"])
+def test_orderings_reject_a_tol_within_the_rounding_allowance(monkeypatch, value):
+    # each boosted step is only kept above (tol - 1e-12)*|dx|: at tol 1e-15
+    # both orders of two simultaneous events came back with witness v = 0
+    monkeypatch.setenv(TOL_ENV_VAR, value)
+    for d in (1, 2):
+        events = [Event((0.0,) * d, 0.0), Event((1.0,) + (0.0,) * (d - 1), 0.0)]
+        with pytest.raises(ValueError, match=rf"tol > 1e-12.* tol = {value} from {TOL_ENV_VAR}"):
+            achievable_orderings(events)
+    monkeypatch.setenv(TOL_ENV_VAR, "2e-12")
+    found = achievable_orderings(events)
+    assert set(found) == {(0, 1), (1, 0)}
+    _assert_witnesses(events, found)
+
+
 def _oracle_event_sets(rng):
     """Seeded event sets in d = 1..3 with n = 2..6: mutually spacelike
     random, simultaneous and collinear ones, and a random one that may hold a
     timelike or null pair; then one d = 1 set of 8 events; random d = 4 sets,
     whose faces of three and four rows go through ``_face_point``;
     integer-lattice sets in d = 1..4, with exact ties and exactly dependent
-    rows; d = 2 sets of 7 and 8 events along a line; and sets that must
-    raise."""
+    rows; d = 2 sets of 7 and 8 events along a line; sets that must raise;
+    random d = 1 sets of 7 and 8 events; and d = 1 sets of 8 events whose
+    simultaneity velocities coincide: exactly (dyadic coordinates), to the
+    last few bits, and after one event is moved by 1e-9, which splits
+    coincident velocities less than 2*tol apart."""
 
     def spacelike(draw):
         while True:
@@ -491,6 +509,13 @@ def _oracle_event_sets(rng):
     yield [Event((0.0,), 0.0), Event((0.0, 1.0), 0.0)]
     yield [Event((3.0 * i,), 0.0) for i in range(MAX_ORDERING_EVENTS + 1)]
     yield [Event((0.0,), 0.0)]
+    for n in (7, 8):
+        yield spacelike(lambda: [Event((rng.uniform(-n, n),), rng.uniform(-1.0, 1.0))
+                                 for _ in range(n)])
+    for times in ([0.0, 0.3125, -0.1875, 0.125, 0.375, -0.3125, 0.1875, -0.125],
+                  [0.0, 0.3, -0.2, 0.1, 0.4, -0.3, 0.2, -0.1]):
+        yield [Event((2.5 * i,), t) for i, t in enumerate(times)]
+        yield [Event((2.5 * i,), t + 1e-9 * (i == 4)) for i, t in enumerate(times)]
 
 
 def _outcome(search, events):
