@@ -42,8 +42,10 @@ from .spacetime import (
     Event,
     IntervalClass,
     _as_float_tuple,
+    _dot,
     _interval_kind,
     _json_number,
+    _overflow_error,
     _require_same_dimension,
     _resolve_tol,
     _squared_interval,
@@ -266,6 +268,15 @@ def latest_jammer_time(d: int, position=None, tol: float | None = None) -> Lates
       binary margin is 0; attained iff j at that time is strictly spacelike
       to a and b under ``tol``.
 
+    In d >= 2 the three squared intervals are computed in scalars, with no
+    ``Event`` built: s^2 from a to b is -4, and s^2 from a and from b to j
+    is time^2 - _dot(dx, dx) with dx = (x1 + 1, x_perp) and (x1 - 1,
+    x_perp), the operations of ``spacetime.interval``. So ``attained`` is
+    ``validate_configuration(...).valid`` on the same three events, and a
+    squared interval that overflows (|x_perp| above about 1.3e154) raises
+    ``interval``'s ``ValueError``, naming a and j (or b and j) as
+    ``[x..., t]``.
+
     For |x1| >= 1 the binary condition caps j_t at the past light cone of
     the nearer measurement, where validity fails, so the window is empty
     and ``ValueError`` is raised; so it is, with ``Event``'s wording, for a
@@ -287,10 +298,16 @@ def latest_jammer_time(d: int, position=None, tol: float | None = None) -> Lates
     if d == 1:
         return LatestJammerResult(time=1.0 - x1, attained=False, d=d, position=position)
     time = -math.hypot(*position[1:]) + 0.0  # normalize -0.0
-    a = Event((-1.0,) + (0.0,) * (d - 1), 0.0)
-    b = Event((+1.0,) + (0.0,) * (d - 1), 0.0)
-    attained = max(_squared_intervals(a, b, Event(position, time))) < -tol
-    return LatestJammerResult(time=time, attained=attained, d=d, position=position)
+    # s^2 from a, then from b, to j in _squared_interval's operations: dt =
+    # time - 0.0 = time, and dx = x - (-+1, 0...), where x - 0.0 = x
+    worst = -4.0
+    for side, along in ((-1.0, position[0] + 1.0), (1.0, position[0] - 1.0)):
+        dx = (along, *position[1:])
+        s2 = time * time - _dot(dx, dx)
+        if not math.isfinite(s2):
+            raise _overflow_error([side] + [0.0] * d, [*position, time], s2)
+        worst = max(worst, s2)
+    return LatestJammerResult(time=time, attained=worst < -tol, d=d, position=position)
 
 
 # --------------------------------------------------------------------------

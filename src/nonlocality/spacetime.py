@@ -204,11 +204,14 @@ def _squared_interval(e1: Event, e2: Event) -> float:
     dx = [q - p for p, q in zip(e1.x, e2.x)]
     s2 = dt * dt - _dot(dx, dx)
     if not math.isfinite(s2):
-        raise ValueError(
-            f"the interval between events {e1.to_json()} and {e2.to_json()} "
-            f"overflows: s^2 = {s2}"
-        )
+        raise _overflow_error(e1.to_json(), e2.to_json(), s2)
     return s2
+
+
+def _overflow_error(first: list[float], second: list[float], s2: float) -> ValueError:
+    """``_squared_interval``'s error for the events ``first`` and ``second``
+    ([x..., t]), whose s^2 is not finite."""
+    return ValueError(f"the interval between events {first} and {second} overflows: s^2 = {s2}")
 
 
 def _interval_kind(s2: float, tol: float) -> str:
@@ -260,6 +263,7 @@ def cone_slack(e: Event, apex: Event) -> float:
 
 
 MAX_ORDERING_EVENTS = 8
+_UNSOLVED = object()  # a face not yet solved; None is a face without a KKT point
 
 
 def _face_point(face, d: int) -> tuple[float, ...] | None:
@@ -311,7 +315,7 @@ def _row_point(a, b) -> tuple[float, ...] | None:
     c = b / norm
     if c / norm > 1e-12:
         return None
-    return tuple(0.0 + c * (x / norm) for x in a)
+    return tuple([0.0 + c * (x / norm) for x in a])
 
 
 def _pair_point(a1, b1, a2, b2) -> tuple[float, ...] | None:
@@ -319,7 +323,7 @@ def _pair_point(a1, b1, a2, b2) -> tuple[float, ...] | None:
     n1 = math.sqrt(_dot(a1, a1))
     if n1 <= 1e-6:
         return None
-    q1 = tuple(x / n1 for x in a1)
+    q1 = [x / n1 for x in a1]
     c1 = b1 / n1
     p = _dot(a2, q1)
     w = [x - (0.0 + p * y) for x, y in zip(a2, q1)]
@@ -330,44 +334,74 @@ def _pair_point(a1, b1, a2, b2) -> tuple[float, ...] | None:
     lam2 = c2 / n2
     if lam2 > 1e-12 or (c1 - (0.0 + p * lam2)) / n1 > 1e-12:
         return None
-    return tuple(0.0 + c1 * x + c2 * (y / n2) for x, y in zip(q1, w))
+    return tuple([0.0 + c1 * x + c2 * (y / n2) for x, y in zip(q1, w)])
 
 
-def _min_norm_point(path, step, faces, d: int) -> tuple[float, ...] | None:
-    """Minimum-norm point of the half-spaces a.v <= b (unit a) ``step[s]``
-    for s in ``path``, given that it lies on the last one; None if they do
-    not intersect.
+def _min_norm_point(path, rows, rhs, bounds, faces, d: int) -> tuple[float, ...] | None:
+    """Minimum-norm point of the half-spaces rows[s].v <= rhs[s] (unit
+    rows) for s in ``path``, given that it lies on the last one; None if
+    they do not intersect.
 
     The minimum is the KKT point of a face A_S v = b_S of at most d
     independent rows, one of them the last. The faces are tried smallest
     first; the first KKT point that satisfies every row, up to 1e-12 of
-    rounding, is the minimum, as the problem is convex. ``faces`` maps each
-    face solved so far, as its tuple of indices into ``step`` (the new row
-    last), to its KKT point or None, and gains the faces solved here.
+    rounding (``bounds[s]`` is ``rhs[s] + 1e-12``), is the minimum, as the
+    problem is convex. ``faces`` maps each face solved so far to its KKT
+    point or None, and gains the faces solved here; it is local to one call
+    of ``achievable_orderings``. A face of the one row s is keyed by the int
+    s, a face of the rows s0 and s by the int (s0 + 1) * nn + s (nn =
+    len(rows), so the two never meet), and a larger face by its tuple of
+    rows, the new row last.
     """
-    *old, last = path
-    for size in range(min(d, len(path))):
+    last = path[-1]
+    v = faces.get(last, _UNSOLVED)
+    if v is _UNSOLVED:
+        v = faces[last] = _row_point(rows[last], rhs[last])
+    if v is not None and _within(v, path, rows, bounds):
+        return v
+    nn = len(rows)
+    old = path[:-1]
+    for size in range(1, min(d, len(path))):
         for subset in itertools.combinations(old, size):
-            face = (*subset, last)
-            try:
-                v = faces[face]
-            except KeyError:
-                if size == 0:
-                    v = _row_point(*step[last])
-                elif size == 1:
-                    v = _pair_point(*step[subset[0]], *step[last])
+            key = (subset[0] + 1) * nn + last if size == 1 else (*subset, last)
+            v = faces.get(key, _UNSOLVED)
+            if v is _UNSOLVED:
+                if size == 1:
+                    s = subset[0]
+                    v = _pair_point(rows[s], rhs[s], rows[last], rhs[last])
                 else:
-                    v = _face_point([step[s] for s in face], d)
-                faces[face] = v
-            if v is None:
-                continue
-            for s in path:
-                a, b = step[s]
-                if not _dot(a, v) <= b + 1e-12:
-                    break
-            else:
+                    v = _face_point([(rows[s], rhs[s]) for s in key], d)
+                faces[key] = v
+            if v is not None and _within(v, path, rows, bounds):
                 return v
     return None
+
+
+def _within(v, path, rows, bounds) -> bool:
+    """Whether v satisfies rows[s].v <= bounds[s] for every s in ``path``."""
+    for s in path:
+        if not _dot(rows[s], v) <= bounds[s]:
+            return False
+    return True
+
+
+def _witness(v: tuple[float, ...]) -> Boost:
+    """``Boost(v)`` for a tuple of floats whose norm the search found below
+    1 - tol, built without ``Boost.__post_init__``, whose check of
+    ``Boost.speed`` (the same sqrt(_dot(v, v))) would repeat that test."""
+    witness = object.__new__(Boost)
+    object.__setattr__(witness, "v", v)
+    return witness
+
+
+def _pair_error(i: int, k: int, s2: float, tol: float) -> ValueError:
+    """The error for events i and k, whose s^2 is not below -tol."""
+    if not math.isfinite(s2):
+        return ValueError(f"the interval between events {i} and {k} overflows: s^2 = {s2}")
+    return ValueError(
+        f"events {i} and {k} are {TIMELIKE if s2 > tol else NULL}, not spacelike; "
+        "their order is frame-independent"
+    )
 
 
 def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
@@ -382,20 +416,26 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
     closed half-spaces has norm < 1 - tol. That point is the witness, so each
     of its boosted time steps is at least tol*|dx|, less 1e-12*|dx| of
     rounding; tol must exceed that allowance, or a witness could leave two
-    events simultaneous.
+    events simultaneous. Both paths below test that norm as ``Boost.speed``
+    computes it, so each witness is built without running ``Boost``'s
+    checks again; it equals ``Boost(witness.v)``.
 
-    Orders are built by depth-first search over prefixes: each added event
-    adds one half-space, and a prefix whose half-spaces miss the ball
-    |v| < 1 - tol is pruned with all its extensions. The minimum is the KKT
-    point of a face (the new half-space and at most d - 1 earlier ones).
-    Faces of one row are solved in closed form as the projection of 0 onto
-    the row's hyperplane, faces of two rows as one written-out Gram-Schmidt
-    step, and larger faces (d >= 3) by Gram-Schmidt on a list of rows; all
-    three give the same bits. Many prefixes share a face, so each face is
-    solved once per call; the face points live in a dict local to the
-    call, and no cache outlives it. The search state is one prefix per
-    call (its order, its half-spaces and a flag per event not yet placed),
-    in lists that grow on the way down and shrink on the way up.
+    In d >= 2, orders are built by depth-first search over prefixes: each
+    added event adds one half-space, and a prefix whose half-spaces miss the
+    ball |v| < 1 - tol is pruned with all its extensions. The half-spaces of
+    all ordered pairs, as unit rows, right-hand sides and test bounds
+    (right-hand side + 1e-12), are built once per call in flat lists indexed
+    by i * n + k. The minimum is the KKT point of a face (the new half-space
+    and at most d - 1 earlier ones). Faces of one row are solved in closed
+    form as the projection of 0 onto the row's hyperplane, faces of two rows
+    as one written-out Gram-Schmidt step, and larger faces (d >= 3) by
+    Gram-Schmidt on a list of rows; all three give the same bits. Many
+    prefixes share a face, so each face is solved once per call: the face
+    points live in a dict local to the call, keyed by int for faces of one
+    and two rows and by tuple for larger ones (see ``_min_norm_point``), and
+    no cache outlives the call. The search state is one prefix per call: its
+    order, written in place at a depth counter, its half-spaces, and a flag
+    per event not yet placed.
 
     In d = 1 no search runs. The C(n, 2) simultaneity velocities v = dt/dx
     cut (-1, 1) into gaps, and every velocity in one gap gives one order. A
@@ -406,8 +446,8 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
     |w| >= 1 - tol. The gaps are complete: a kept order's witness lies at
     least tol - 1e-12 inside the order's open cell, so the gap that holds
     the witness has that order. The bits are the prefix search's, since
-    u = dx/|dx| is exactly +-1 (sqrt(fl(dx^2)) = |dx|), which turns
-    ``_dot`` and ``_row_point`` into these scalar operations.
+    u = dx/|dx| is exactly +-1 (sqrt(fl(dx^2)) = |dx|), which turns the
+    pair loop, ``_dot`` and ``_row_point`` into these scalar operations.
 
     Returns a map from index permutation to witness boost, in lexicographic
     order of the permutations. Raises ``ValueError`` for fewer than 2 or
@@ -430,9 +470,13 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
             f"orderings need tol > 1e-12, the rounding allowance of their test, or an "
             f"order may leave two events simultaneous; got tol = {tol!r} from {TOL_ENV_VAR}"
         )
-    # step[i * n + k]: the half-space u.v <= dt/|dx| - tol that puts k after
-    # i; the one that puts i after k is its negation, shrunk by tol too
-    step = [None] * (n * n)
+    if d == 1:
+        return _orderings_1d(events, tol)
+    # rows[i * n + k], rhs[i * n + k]: the half-space u.v <= dt/|dx| - tol that
+    # puts k after i; the one that puts i after k is its negation, shrunk by
+    # tol too
+    rows: list = [None] * (n * n)
+    rhs = [0.0] * (n * n)
     for i, ei in enumerate(events):
         for k in range(i + 1, n):
             ek = events[k]
@@ -441,81 +485,85 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
             sq = _dot(dx, dx)
             s2 = dt * dt - sq
             if not -math.inf < s2 < -tol:
-                if not math.isfinite(s2):
-                    raise ValueError(
-                        f"the interval between events {i} and {k} overflows: s^2 = {s2}"
-                    )
-                raise ValueError(
-                    f"events {i} and {k} are {TIMELIKE if s2 > tol else NULL}, not spacelike; "
-                    "their order is frame-independent"
-                )
+                raise _pair_error(i, k, s2, tol)
             length = math.sqrt(sq)
-            u = tuple(c / length for c in dx)
+            u = tuple([c / length for c in dx])
             beta = dt / length
-            step[i * n + k] = (u, beta - tol)
-            step[k * n + i] = (tuple(-c for c in u), -beta - tol)
-    if d == 1:
-        return _orderings_1d(events, step, tol)
+            rows[i * n + k], rhs[i * n + k] = u, beta - tol
+            rows[k * n + i], rhs[k * n + i] = tuple([-c for c in u]), -beta - tol
+    bounds = [b + 1e-12 for b in rhs]
 
     found: dict[tuple[int, ...], Boost] = {}
-    faces: dict[tuple[int, ...], tuple[float, ...] | None] = {}
-    order: list[int] = []
+    faces: dict = {}
+    order = [0] * n
     path: list[int] = []
     free = [True] * n
+    limit = 1.0 - tol
 
-    def extend(k, v):
-        order.append(k)
+    def extend(k, v, depth):
+        order[depth] = k
+        depth += 1
+        if depth == n:
+            found[tuple(order)] = _witness(v)
+            return
         free[k] = False
-        if len(order) == n:
-            found[tuple(order)] = Boost(v)
-        else:
-            base = k * n
-            for j in range(n):
-                if not free[j]:
-                    continue
+        base = k * n
+        for j in range(n):
+            if free[j]:
                 s = base + j
-                a, b = step[s]
                 path.append(s)
                 # the old minimum stays the minimum while it satisfies the new
                 # row, and its norm was checked when it was found
-                if _dot(a, v) <= b + 1e-12:
-                    extend(j, v)
+                if _dot(rows[s], v) <= bounds[s]:
+                    extend(j, v, depth)
                 else:
-                    w = _min_norm_point(path, step, faces, d)
-                    if w is not None and math.sqrt(_dot(w, w)) < 1.0 - tol:
-                        extend(j, w)
+                    w = _min_norm_point(path, rows, rhs, bounds, faces, d)
+                    if w is not None and math.sqrt(_dot(w, w)) < limit:
+                        extend(j, w, depth)
                 path.pop()
         free[k] = True
-        order.pop()
 
     # every branch starts at v = 0, whose norm is checked here, once
-    if 0.0 < 1.0 - tol:
+    if 0.0 < limit:
         for i in range(n):
-            extend(i, (0.0,) * d)
+            extend(i, (0.0,) * d, 0)
     return found
 
 
-def _orderings_1d(events, step, tol) -> dict[tuple[int, ...], Boost]:
-    """``achievable_orderings`` in d = 1, given its half-spaces ``step``:
-    the order of each gap between the sorted simultaneity velocities, kept
-    if it passes the prefix search's rules along its own path."""
+def _orderings_1d(events, tol) -> dict[tuple[int, ...], Boost]:
+    """``achievable_orderings`` in d = 1: the order of each gap between the
+    sorted simultaneity velocities, kept if it passes the prefix search's
+    rules along its own path."""
     n = len(events)
+    xs = [e.x[0] for e in events]
+    ts = [e.t for e in events]
+    # step[i * n + k] = (a, b): the half-space a*v <= b, a = +-1, that puts k
+    # after i; pos[i]: how many events come before event i, swept upwards in
+    # v from -1; swaps[cut]: the pairs (first, last) whose order flips at
+    # v = cut
+    step = [None] * (n * n)
+    pos = [0] * n
+    swaps: dict[float, list[tuple[int, int]]] = {}
+    for i in range(n):
+        for k in range(i + 1, n):
+            dx = xs[k] - xs[i]
+            dt = ts[k] - ts[i]
+            s2 = dt * dt - (0.0 + dx * dx)
+            if not -math.inf < s2 < -tol:
+                raise _pair_error(i, k, s2, tol)
+            # |dx| is sqrt(fl(dx^2)), the prefix search's length
+            beta = dt / abs(dx)
+            a = 1.0 if dx > 0.0 else -1.0
+            step[i * n + k] = (a, beta - tol)
+            step[k * n + i] = (-a, -beta - tol)
+            # below the cut, t' = gamma (t - v x) puts k after i iff dx > 0;
+            # |cut| < 1, since fl(dt^2) < fl(dx^2)
+            first, last = (i, k) if dx > 0.0 else (k, i)
+            swaps.setdefault(dt / dx, []).append((first, last))
+            pos[last] += 1
     found: dict[tuple[int, ...], Boost] = {}
     if not 0.0 < 1.0 - tol:
         return found
-    # pos[i]: how many events come before event i, swept upwards in v from
-    # -1; swaps[cut]: the pairs (first, last) whose order flips at v = cut
-    pos = [0] * n
-    swaps: dict[float, list[tuple[int, int]]] = {}
-    for i, ei in enumerate(events):
-        for k in range(i + 1, n):
-            dx = events[k].x[0] - ei.x[0]
-            cut = (events[k].t - ei.t) / dx
-            # below the cut, t' = gamma (t - v x) puts k after i iff dx > 0;
-            # |cut| < 1, since the pair loop found fl(dt^2) < fl(dx^2)
-            first, last = (i, k) if dx > 0.0 else (k, i)
-            swaps.setdefault(cut, []).append((first, last))
-            pos[last] += 1
     orders = {tuple(sorted(range(n), key=pos.__getitem__))}
     for cut in sorted(swaps):
         for first, last in swaps[cut]:
@@ -529,7 +577,7 @@ def _orderings_1d(events, step, tol) -> dict[tuple[int, ...], Boost]:
         w = 0.0
         lo, hi = -math.inf, math.inf
         for i, k in zip(order, order[1:]):
-            (a,), b = step[i * n + k]
+            a, b = step[i * n + k]
             if a > 0.0:
                 hi = min(hi, b + 1e-12)
             else:
@@ -539,5 +587,5 @@ def _orderings_1d(events, step, tol) -> dict[tuple[int, ...], Boost]:
                 if b > 1e-12 or not lo <= w <= hi or not abs(w) < 1.0 - tol:
                     break
         else:
-            found[order] = Boost((w,))
+            found[order] = _witness((w,))
     return found

@@ -357,6 +357,60 @@ def test_latest_jammer_time_reads_d_as_an_integer(d, position):
         latest_jammer_time(d, position)
 
 
+@pytest.mark.parametrize("position, first, second", [
+    ((0.5, 1e200), "[-1.0, 0.0, 0.0]", "[0.5, 1e+200, -1e+200]"),
+    ((0.5, 1e160, 0.0), "[-1.0, 0.0, 0.0, 0.0]", "[0.5, 1e+160, 0.0, -1e+160]"),
+])
+def test_latest_jammer_time_overflow_names_the_events(position, first, second):
+    # time = -|x_perp| squares to inf, and so does |dx|^2: s^2 = inf - inf
+    want = f"the interval between events {first} and {second} overflows: s^2 = nan"
+    with pytest.raises(ValueError) as exc:
+        latest_jammer_time(len(position), position)
+    assert str(exc.value) == want
+
+
+def _window_with_events(d, position, tol):
+    """The d >= 2 window as three ``Event``s give it: time = -|x_perp|, and
+    ``attained`` iff the configuration at that time is valid."""
+    time = -math.hypot(*position[1:]) + 0.0
+    a, b = canonical_pair(d)
+    cfg = JammingConfiguration(a=a, b=b, j=Event(position, time))
+    return time, validate_configuration(cfg, tol=tol).valid
+
+
+def _window_positions(rng, d, tol):
+    """Random positions with |x_1| < 1; positions with 1 - |x_1| within 1e-9
+    of sqrt(tol), where ``attained`` flips at x_perp = 0, or of 0, the
+    validity boundary, with |x_perp| from about 1e-3 to 1e3; then two
+    positions whose squared intervals overflow."""
+    out = [(rng.uniform(-1.0, 1.0), *rng.uniform(-3.0, 3.0, d - 1)) for _ in range(100)]
+    for edge in (math.sqrt(tol), 0.0):
+        for _ in range(100):
+            gap = max(edge + rng.uniform(-1e-9, 1e-9), 1e-15)
+            perp = rng.normal(size=d - 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+            out.append((rng.choice([-1.0, 1.0]) * (1.0 - gap), *perp))
+    out += [(0.5, 1e200, *[0.0] * (d - 2)), (-0.5, *[1e160] * (d - 1))]
+    return [tuple(map(float, p)) for p in out]
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+@pytest.mark.parametrize("d", [2, 3])
+def test_latest_jammer_time_matches_event_computation(d, tol):
+    # the window is computed in scalars; time bits, attained and the
+    # overflow error must be those of the three events it stands for
+    rng = np.random.default_rng(40 + d)
+    seen = set()
+    for position in _window_positions(rng, d, tol or 1e-9):
+        got = _outcome(latest_jammer_time, d, position, tol=tol)
+        want = _outcome(_window_with_events, d, position, tol)
+        if got[0] == "ok":
+            fields = dict(got[1][1])
+            got = "ok", (fields["time"], fields["attained"])
+        assert got == want, position
+        seen.add(got[0] if got[0] != "ok" else got[1][1])
+    assert seen == {True, False, "ValueError"}
+
+
 # ------------------------------------------------------------ box transform
 
 

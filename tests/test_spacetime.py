@@ -573,6 +573,29 @@ def test_orderings_match_oracle_under_a_wider_tol(monkeypatch):
     assert kinds == {list, str}
 
 
+@pytest.mark.parametrize("env", [None, "1e-6"])
+def test_orderings_witnesses_equal_validated_boosts(monkeypatch, env):
+    # witnesses skip Boost's checks, so each must be the Boost those checks
+    # would have built: a tuple of floats below the speed the search tested
+    if env is not None:
+        monkeypatch.setenv(TOL_ENV_VAR, env)
+    tol = default_tol()
+    dims = set()
+    for events in _oracle_event_sets(np.random.default_rng(711)):
+        try:
+            found = achievable_orderings(events)
+        except ValueError:
+            continue
+        for w in found.values():
+            rebuilt = Boost(w.v)
+            assert type(w) is Boost and type(w.v) is tuple
+            assert all(type(c) is float for c in w.v)
+            assert w == rebuilt and hash(w) == hash(rebuilt)
+            assert w.speed < 1.0 - tol
+            dims.add(w.d)
+    assert dims == {1, 2, 3, 4}
+
+
 _awkward = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                             math.inf, -math.inf, math.nan])
 
