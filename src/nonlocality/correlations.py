@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import sub
 from typing import TYPE_CHECKING, Callable
 
 from .spacetime import _json_number, _resolve_tol
@@ -41,15 +42,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+_TWO_PI = 2.0 * math.pi
+
+
 def reduce_angle(theta: float) -> float:
-    """Fold any finite angle into [0, pi] using E(t) = E(-t) = E(2*pi - t)."""
+    """Fold any finite angle into [0, pi] using E(t) = E(-t) = E(2*pi - t):
+    ``float``, the finite check, t = fmod(|theta|, 2*pi), then 2*pi - t where
+    t > pi. ``CorrelationModel.correlation`` repeats these operations inline,
+    bit for bit (``test_scalar_correlation_matches_the_reference_fold``)."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta}")
-    t = math.fmod(abs(theta), 2.0 * math.pi)
-    if t > math.pi:
-        t = 2.0 * math.pi - t
-    return t
+    t = math.fmod(abs(theta), _TWO_PI)
+    return _TWO_PI - t if t > math.pi else t
 
 
 def _json_numbers(data, name: str, shape: tuple) -> list[float]:
@@ -77,12 +82,14 @@ def _table(p: list[float]) -> tuple[float, ...]:
     negative entries and per-setting normalization and clipped at 0 as
     ``ndarray.clip(0.0, None)`` does (which gives -0.0 as +0.0). The sums run
     in numpy's order for ``sum(axis=(2, 3))``, from +0.0 one entry at a time."""
-    if min(p) < -PROB_TOL:
+    low = min(p)
+    if low < -PROB_TOL:
         raise ValueError("box has negative probabilities")
     sums = [0.0 + p[k] + p[k + 1] + p[k + 2] + p[k + 3] for k in (0, 4, 8, 12)]
-    if any(abs(s - 1.0) > PROB_TOL for s in sums):
-        raise ValueError(f"box not normalized per setting pair: sums {[sums[:2], sums[2:]]}")
-    return tuple(v if v > 0.0 else 0.0 for v in p)
+    for s in sums:
+        if abs(s - 1.0) > PROB_TOL:
+            raise ValueError(f"box not normalized per setting pair: sums {[sums[:2], sums[2:]]}")
+    return tuple(p) if low > 0.0 else tuple([v if v > 0.0 else 0.0 for v in p])
 
 
 class NoSignallingBox:
@@ -125,14 +132,16 @@ class NoSignallingBox:
     def _correlations(self) -> list[float]:
         """E(0,0), E(0,1), E(1,0), E(1,1)."""
         p = self._p
-        return [p[k] + p[k + 3] - p[k + 1] - p[k + 2] for k in (0, 4, 8, 12)]
+        return [p[0] + p[3] - p[1] - p[2], p[4] + p[7] - p[5] - p[6],
+                p[8] + p[11] - p[9] - p[10], p[12] + p[15] - p[13] - p[14]]
 
     def _marginals(self) -> tuple[list[float], list[float]]:
         """Alice's and Bob's marginals, each flat in index order (x, y, outcome)."""
         p = self._p
-        alice = [p[k] + p[k + 1] for k in range(0, 16, 2)]
-        bob = [p[k] + p[k + 2] for k in (0, 1, 4, 5, 8, 9, 12, 13)]
-        return alice, bob
+        return ([p[0] + p[1], p[2] + p[3], p[4] + p[5], p[6] + p[7],
+                 p[8] + p[9], p[10] + p[11], p[12] + p[13], p[14] + p[15]],
+                [p[0] + p[2], p[1] + p[3], p[4] + p[6], p[5] + p[7],
+                 p[8] + p[10], p[9] + p[11], p[12] + p[14], p[13] + p[15]])
 
     def correlations(self):
         """E(x, y) for all four setting pairs, as an ndarray indexed [x, y]."""
@@ -172,8 +181,7 @@ def _lift(e: list[float]) -> NoSignallingBox:
         raise ValueError(f"correlations must lie in [-1, 1], got {[e[:2], e[2:]]}")
     p = []
     for c in e:
-        same = (1.0 + c) / 4.0
-        diff = (1.0 - c) / 4.0
+        same, diff = (1.0 + c) / 4.0, (1.0 - c) / 4.0
         p += (same, diff, diff, same)
     return NoSignallingBox._of(p)
 
@@ -207,9 +215,7 @@ class NoSignallingReport:
     tol: float
 
 
-def check_no_signalling(
-    box: NoSignallingBox, tol: float | None = PROB_TOL
-) -> NoSignallingReport:
+def check_no_signalling(box: NoSignallingBox, tol: float | None = PROB_TOL) -> NoSignallingReport:
     """Largest dependence of one party's marginals on the other's setting.
 
     ``tol`` None means ``PROB_TOL``: ``NONLOCALITY_TOL`` sets the geometric
@@ -217,8 +223,8 @@ def check_no_signalling(
     tol = PROB_TOL if tol is None else _resolve_tol(tol)
     pa, pb = box._marginals()
     # Alice's marginal at (x, 0) against (x, 1); Bob's at (0, y) against (1, y)
-    dev = max(max(abs(pa[i] - pa[i + 2]) for i in (0, 1, 4, 5)),
-              max(abs(pb[i] - pb[i + 4]) for i in range(4)))
+    dev = max(abs(pa[0] - pa[2]), abs(pa[1] - pa[3]), abs(pa[4] - pa[6]), abs(pa[5] - pa[7]),
+              abs(pb[0] - pb[4]), abs(pb[1] - pb[5]), abs(pb[2] - pb[6]), abs(pb[3] - pb[7]))
     return NoSignallingReport(passed=dev <= tol, max_deviation=dev, tol=tol)
 
 
@@ -239,11 +245,14 @@ def apply_jamming(box: NoSignallingBox, strength: float = 1.0) -> NoSignallingBo
     strength = _json_number(strength, "strength")
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"strength must lie in [0, 1], got {strength}")
-    pa, pb = box._marginals()
     keep = 1.0 - strength
-    # entry (x, y, a, b) has flat index i; Alice's marginal i >> 1, Bob's (i >> 2) * 2 + b
-    return NoSignallingBox._of([strength * (pa[i >> 1] * pb[(i >> 2) * 2 + (i & 1)]) + keep * p
-                                for i, p in enumerate(box._p)])
+    p = []
+    for k in (0, 4, 8, 12):  # one setting pair, with its marginals summed as _marginals sums them
+        p0, p1, p2, p3 = box._p[k:k + 4]
+        a0, a1, b0, b1 = p0 + p1, p2 + p3, p0 + p2, p1 + p3
+        p += (strength * (a0 * b0) + keep * p0, strength * (a0 * b1) + keep * p1,
+              strength * (a1 * b0) + keep * p2, strength * (a1 * b1) + keep * p3)
+    return NoSignallingBox._of(p)
 
 
 @dataclass(frozen=True)
@@ -253,16 +262,15 @@ class UnaryReport:
     tol: float
 
 
-def check_unary(
-    original: NoSignallingBox, jammed: NoSignallingBox, tol: float | None = PROB_TOL
-) -> UnaryReport:
+def check_unary(original: NoSignallingBox, jammed: NoSignallingBox,
+                tol: float | None = PROB_TOL) -> UnaryReport:
     """No single-party statistic may reveal jamming: compare all marginals.
 
     ``tol`` None means ``PROB_TOL``: ``NONLOCALITY_TOL`` sets the geometric
     tolerance only."""
     tol = PROB_TOL if tol is None else _resolve_tol(tol)
     (pa, pb), (qa, qb) = original._marginals(), jammed._marginals()
-    dev = max(max(abs(p - q) for p, q in zip(pa, qa)), max(abs(p - q) for p, q in zip(pb, qb)))
+    dev = max(map(abs, map(sub, pa + pb, qa + qb)))
     return UnaryReport(holds=dev <= tol, max_deviation=dev, tol=tol)
 
 
@@ -288,12 +296,8 @@ class ChshResult:
         form and 4 in another.
         """
         e00, e01, e10, e11 = self.terms
-        return (
-            -e00 + e01 + e10 + e11,
-            e00 - e01 + e10 + e11,
-            e00 + e01 - e10 + e11,
-            e00 + e01 + e10 - e11,
-        )
+        return (-e00 + e01 + e10 + e11, e00 - e01 + e10 + e11,
+                e00 + e01 - e10 + e11, e00 + e01 + e10 - e11)
 
 
 def chsh(box: NoSignallingBox) -> ChshResult:
@@ -302,8 +306,11 @@ def chsh(box: NoSignallingBox) -> ChshResult:
 
 
 def classify_chsh(value: float, tol: float = 1e-6) -> str:
-    """Place |value| against the classical, quantum and algebraic bounds."""
+    """Place |value| against the classical, quantum and algebraic bounds;
+    ``ValueError`` if it is not finite."""
     a = abs(value)
+    if not a < math.inf:
+        raise ValueError(f"CHSH value must be finite, got {value}")
     if a <= CLASSICAL_BOUND + tol:
         return "classical"
     if abs(a - QUANTUM_BOUND) <= tol:
@@ -322,10 +329,14 @@ def classify_chsh(value: float, tol: float = 1e-6) -> str:
 class CorrelationModel:
     """A correlation function of the relative measurement angle.
 
-    ``correlation`` evaluates one angle in plain ``math``; a subclass defines
-    ``_corr`` on [0, pi]. The sweeps of ``maximize_chsh`` call ``_corr_array``
-    on an ndarray of folded angles, equal to ``_corr`` element by element:
-    point by point by default, ``np.interp`` for ``TableModel``.
+    ``correlation``, the one scalar entry point, is ``_corr(reduce_angle(theta))``
+    with the fold inline: ``float()`` runs only on a non-float, |theta| < inf
+    is the finite check, and the error and every bit are ``reduce_angle``'s
+    (``test_scalar_correlation_matches_the_reference_fold``). A subclass
+    defines ``_corr`` on [0, pi]. The sweeps of ``maximize_chsh`` call
+    ``_corr_array`` on an ndarray of folded angles, equal to ``_corr``
+    element by element: point by point by default, ``np.interp`` for
+    ``TableModel``.
 
     ``chsh_bound`` is a certified upper bound on |CHSH| at any four angles,
     in exact arithmetic; ``maximize_chsh`` returns as soon as it reaches
@@ -340,7 +351,13 @@ class CorrelationModel:
     chsh_bound = ALGEBRAIC_BOUND
 
     def correlation(self, theta: float) -> float:
-        return self._corr(reduce_angle(theta))
+        if type(theta) is not float:
+            theta = float(theta)
+        t = abs(theta)
+        if not t < math.inf:
+            raise ValueError(f"angle must be finite, got {theta}")
+        t = math.fmod(t, _TWO_PI)
+        return self._corr(_TWO_PI - t if t > math.pi else t)
 
     def _corr(self, theta: float) -> float:
         raise NotImplementedError
@@ -389,7 +406,9 @@ class SuperquantumModel(CorrelationModel):
     the antisymmetry E(pi - theta) = -E(theta) exactly. An interpolant is
     called with one float at a time, on (pi/4, 3*pi/4) only, also by the
     sweeps of ``maximize_chsh``; the default model is at 4 at eq2 and never
-    sweeps.
+    sweeps. Its value is read by ``TableModel``'s rule: one that is not
+    finite or lies beyond 1 + ``PROB_TOL`` raises ``ValueError`` naming
+    theta and the value; any other is returned as it is.
     """
 
     kind = "superquantum"
@@ -402,7 +421,10 @@ class SuperquantumModel(CorrelationModel):
             return 1.0
         if theta >= _BAND_HI:
             return -1.0
-        return self.interpolant(theta)
+        e = self.interpolant(theta)
+        if not abs(e) <= 1.0 + PROB_TOL:  # false for nan as well
+            raise ValueError(f"interpolant value at theta={theta!r} must lie in [-1, 1], got {e!r}")
+        return e
 
 
 class DeterministicModel(CorrelationModel):
@@ -415,7 +437,9 @@ class DeterministicModel(CorrelationModel):
     structure lives in :func:`enumerate_deterministic`.
 
     E is a constant +1 or -1, so every four angles give |CHSH| = 2 exactly,
-    also in floats: ``chsh_bound`` is ``CLASSICAL_BOUND``.
+    also in floats: ``chsh_bound`` is ``CLASSICAL_BOUND``. ``_corr`` reads it
+    from ``alice`` and ``bob`` on each call (+1.0 where their setting-0
+    outcomes agree, else -1.0), so no copy of it can go stale.
     """
 
     kind = "classical"
@@ -430,7 +454,7 @@ class DeterministicModel(CorrelationModel):
         self.bob = (OUTCOMES[bits[2]], OUTCOMES[bits[3]])
 
     def _corr(self, theta: float) -> float:
-        return float(self.alice[0] * self.bob[0])
+        return 1.0 if self.alice[0] == self.bob[0] else -1.0
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "strategy": self.strategy_id}
@@ -442,7 +466,10 @@ class TableModel(CorrelationModel):
     Outside the table E is held at the first or last value. Values may
     exceed [-1, 1] by ``PROB_TOL`` and are clipped to it, so no table
     passes the algebraic bound. The scalar path repeats ``np.interp``'s
-    arithmetic in plain floats, so both paths agree bit for bit.
+    arithmetic in plain floats: a node gives its value, and theta inside
+    segment j gives slope_j * (theta - x_j) + y_j, the slopes computed at
+    construction as np.interp computes them, (y_{j+1} - y_j) / (x_{j+1} -
+    x_j). Both agree bit for bit (``test_table_scalar_equals_array_at_edges``).
     """
 
     kind = "table"
@@ -457,7 +484,8 @@ class TableModel(CorrelationModel):
         if max(map(abs, ys)) > 1.0 + PROB_TOL:
             raise ValueError("correlation values must lie in [-1, 1]")
         self._xs = xs
-        self._ys = [min(max(y, -1.0), 1.0) for y in ys]  # as np.clip, -0.0 kept
+        self._ys = ys = [min(max(y, -1.0), 1.0) for y in ys]  # as np.clip, -0.0 kept
+        self._slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)]
 
     @property
     def thetas(self) -> np.ndarray:
@@ -472,16 +500,14 @@ class TableModel(CorrelationModel):
         return np.array(self._ys)
 
     def _corr(self, theta: float) -> float:
-        xs, ys = self._xs, self._ys
+        xs = self._xs
         j = bisect_right(xs, theta) - 1
         if j < 0:
-            return ys[0]
-        if j == len(xs) - 1:
-            return ys[-1]
-        if theta == xs[j]:
-            return ys[j]
-        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        return slope * (theta - xs[j]) + ys[j]
+            return self._ys[0]
+        x, y = xs[j], self._ys[j]
+        if theta == x or j == len(xs) - 1:  # a node, or beyond the last
+            return y
+        return self._slopes[j] * (theta - x) + y
 
     def _corr_array(self, t: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -503,9 +529,8 @@ def model_from_json(data) -> CorrelationModel:
         raise ValueError(f"model JSON must be an object with key 'kind', got {type(data).__name__}")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _MODEL_KEYS:
-        raise ValueError(
-            f"model JSON key 'kind' must be one of {sorted(_MODEL_KEYS)}, got {kind!r}"
-        )
+        raise ValueError(f"model JSON key 'kind' must be one of {sorted(_MODEL_KEYS)}, "
+                         f"got {kind!r}")
     missing = [key for key in _MODEL_KEYS[kind] if key not in data]
     if missing:
         raise ValueError(f"{kind} model JSON lacks key(s) {', '.join(map(repr, missing))}")
@@ -517,9 +542,8 @@ def model_from_json(data) -> CorrelationModel:
         try:
             return DeterministicModel(_json_number(data["strategy"], "strategy", integer=True))
         except ValueError:
-            raise ValueError(
-                f"classical model key 'strategy' must be an integer 0..15, got {data['strategy']!r}"
-            ) from None
+            raise ValueError("classical model key 'strategy' must be an integer 0..15, "
+                             f"got {data['strategy']!r}") from None
     thetas, values = (_json_numbers(data[key], f"table model key {key!r}", (None,))
                       for key in ("thetas", "values"))
     try:
@@ -538,24 +562,16 @@ ANGLE_PRESETS: dict[str, tuple[float, float, float, float]] = {
 }
 
 
-def chsh_at_angles(
-    model: CorrelationModel, a: float, a_prime: float, b: float, b_prime: float
-) -> ChshResult:
+def chsh_at_angles(model: CorrelationModel, a: float, a_prime: float, b: float,
+                   b_prime: float) -> ChshResult:
     """CHSH sum for measurements along four axes, via relative angles."""
-    e_ab = model.correlation(a - b)
-    e_abp = model.correlation(a - b_prime)
-    e_apb = model.correlation(a_prime - b)
-    e_apbp = model.correlation(a_prime - b_prime)
-    return ChshResult(
-        value=e_ab + e_abp + e_apb - e_apbp,
-        terms=(e_ab, e_abp, e_apb, e_apbp),
-        angles=(a, a_prime, b, b_prime),
-    )
+    e = [model.correlation(x - y) for x in (a, a_prime) for y in (b, b_prime)]
+    return ChshResult(value=e[0] + e[1] + e[2] - e[3], terms=tuple(e),
+                      angles=(a, a_prime, b, b_prime))
 
 
-def box_from_model(
-    model: CorrelationModel, a: float, a_prime: float, b: float, b_prime: float
-) -> NoSignallingBox:
+def box_from_model(model: CorrelationModel, a: float, a_prime: float, b: float,
+                   b_prime: float) -> NoSignallingBox:
     """Box whose setting pairs realize the model correlations at four axes."""
     return _lift([model.correlation(x - y) for x in (a, a_prime) for y in (b, b_prime)])
 
@@ -574,19 +590,9 @@ def enumerate_deterministic() -> list[DeterministicStrategy]:
     out = []
     for sid in range(16):
         model = DeterministicModel(sid)
-        box = product_box(
-            [float(o == +1) for o in model.alice],
-            [float(o == +1) for o in model.bob],
-        )
-        out.append(
-            DeterministicStrategy(
-                strategy_id=sid,
-                alice=model.alice,
-                bob=model.bob,
-                box=box,
-                result=chsh(box),
-            )
-        )
+        box = product_box([float(o == +1) for o in model.alice],
+                          [float(o == +1) for o in model.bob])
+        out.append(DeterministicStrategy(sid, model.alice, model.bob, box, chsh(box)))
     return out
 
 
@@ -613,13 +619,8 @@ _MOVES = tuple(tuple((k, p + q - i) for k, (p, q) in enumerate(_TERM_AXES) if i 
                for i in range(4))
 
 
-def maximize_chsh(
-    model: CorrelationModel,
-    coarse_step: float = math.pi / 180.0,
-    final_step: float = 1e-8,
-    extra_starts: int = 4,
-    seed: int = 0,
-) -> ChshOptimum:
+def maximize_chsh(model: CorrelationModel, coarse_step: float = math.pi / 180.0,
+                  final_step: float = 1e-8, extra_starts: int = 4, seed: int = 0) -> ChshOptimum:
     """Maximize |CHSH| over the four measurement angles.
 
     Per-coordinate exhaustive search at ``coarse_step``, then shrinking-step
@@ -662,18 +663,13 @@ def maximize_chsh(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     corr = model._corr
-    fmod, pi, two_pi = math.fmod, math.pi, 2.0 * math.pi
+    fmod, pi, two_pi = math.fmod, math.pi, _TWO_PI
     evaluations = 0
-
-    def fold(theta):
-        # reduce_angle without its checks: search angles are finite floats
-        t = math.fmod(abs(theta), two_pi)
-        return two_pi - t if t > math.pi else t
 
     def all_terms(angles):
         nonlocal evaluations
         evaluations += 4
-        return [corr(fold(angles[p] - angles[q])) for p, q in _TERM_AXES]
+        return [corr(reduce_angle(angles[p] - angles[q])) for p, q in _TERM_AXES]
 
     def value(t):
         # |CHSH| of four terms, scalars or arrays
@@ -745,8 +741,8 @@ def maximize_chsh(
                     else:
                         angles[i] = back = trial - delta
                         if back != old:
-                            terms[k0] = corr(fold(back - angles[j0]))
-                            terms[k1] = corr(fold(back - angles[j1]))
+                            terms[k0] = corr(reduce_angle(back - angles[j0]))
+                            terms[k1] = corr(reduce_angle(back - angles[j1]))
                             evaluations += 2
             if not improved:
                 step /= 2.0
@@ -787,6 +783,13 @@ def sample_outcomes(box: NoSignallingBox, n: int, seed: int) -> SampleReport:
     Uses numpy's PCG64 generator, so reports are reproducible across
     platforms for a fixed seed. The standard error combines the binomial
     variance of each correlation term.
+
+    Only the draws use numpy, one ``multinomial`` per setting pair. The
+    statistics run on the counts as Python ints in numpy's operations and
+    order for int64 arrays: p_same = float(n_00 + n_11) / float(n), and the
+    four variances summed from 0.0 in setting order, as ``ndarray.sum`` does.
+    Bits agree up to n = 2**63 - 1
+    (``test_sampling_matches_per_setting_loops_at_large_n``).
     """
     n = _json_number(n, "n", integer=True)
     if n < 1:
@@ -799,22 +802,19 @@ def sample_outcomes(box: NoSignallingBox, n: int, seed: int) -> SampleReport:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    pairs = np.array(box._p).reshape(4, 4)  # one row per setting pair (x, y), y fastest
-    counts = np.array([rng.multinomial(n, p) for p in pairs]).reshape(2, 2, 2, 2)
-    p_same = (counts[..., 0, 0] + counts[..., 1, 1]) / n
-    corr = 2.0 * p_same - 1.0
-    var = 4.0 * p_same * (1.0 - p_same) / n
-    estimate = corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]
-    return SampleReport(
-        n_per_pair=n,
-        seed=seed,
-        counts=tuple(
-            tuple(tuple(map(tuple, counts[x, y].tolist())) for y in (0, 1)) for x in (0, 1)
-        ),
-        correlations=tuple(map(tuple, corr.tolist())),
-        chsh_estimate=float(estimate),
-        std_error=float(math.sqrt(var.sum())),
-    )
+    total = float(n)
+    counts, corr, var = [], [], 0.0
+    for k in (0, 4, 8, 12):
+        c = rng.multinomial(n, box._p[k:k + 4]).tolist()
+        counts.append(((c[0], c[1]), (c[2], c[3])))
+        p_same = float(c[0] + c[3]) / total
+        corr.append(2.0 * p_same - 1.0)
+        var += 4.0 * p_same * (1.0 - p_same) / total
+    return SampleReport(n_per_pair=n, seed=seed,
+                        counts=((counts[0], counts[1]), (counts[2], counts[3])),
+                        correlations=((corr[0], corr[1]), (corr[2], corr[3])),
+                        chsh_estimate=corr[0] + corr[1] + corr[2] - corr[3],
+                        std_error=math.sqrt(var))
 
 
 # --------------------------------------------------------------------------
@@ -841,6 +841,5 @@ def builtin_box(name: str) -> NoSignallingBox:
     try:
         return BUILTIN_BOXES[name]()
     except KeyError:
-        raise ValueError(
-            f"unknown builtin box {name!r}; available: {sorted(BUILTIN_BOXES)}"
-        ) from None
+        raise ValueError(f"unknown builtin box {name!r}; available: {sorted(BUILTIN_BOXES)}"
+                         ) from None

@@ -104,6 +104,25 @@ def test_superquantum_custom_interpolant():
     assert chsh_at_angles(lin, *ANGLE_PRESETS["eq2"]).value == pytest.approx(4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5, -1.0 - 2e-12])
+def test_superquantum_rejects_interpolant_values_beyond_the_unit_interval(value):
+    # nan and 1.5 used to pass through: the 1.5 model read CHSH 5 at these
+    # angles, while its search stopped at the algebraic bound 4 and called
+    # that certified
+    model = SuperquantumModel(interpolant=lambda t: value)
+    with pytest.raises(ValueError, match=r"^interpolant value at theta=1\.0 must lie in \[-1, 1\], got "):
+        model.correlation(1.0)
+    assert model.correlation(0.5) == 1.0 and model.correlation(2.5) == -1.0  # the plateaus
+    with pytest.raises(ValueError, match="interpolant value at theta="):
+        chsh_at_angles(model, 1.0, -0.5, 0.0, 2.5)
+
+
+def test_superquantum_returns_interpolant_values_within_the_tolerance_as_they_are():
+    for value in (1.0 + 0.5e-12, -1.0 - 1e-12, 0.25, -0.0):
+        got = SuperquantumModel(interpolant=lambda t: value).correlation(1.0)
+        assert got.hex() == value.hex()
+
+
 def test_deterministic_model_constant():
     m = DeterministicModel(0)
     assert m.alice == (1, 1) and m.bob == (1, 1)
@@ -197,6 +216,37 @@ def test_correlation_rejects_nonfinite(bad):
     for model in _all_models():
         with pytest.raises(ValueError, match="finite"):
             model.correlation(bad)
+
+
+def _fold_inputs():
+    """Angles where a fold that differs from ``reduce_angle`` in any operation
+    shows: grid points, multiples of pi and 2*pi with their neighbours, signed
+    zeros, huge and subnormal floats, ints, bools and numpy scalars."""
+    thetas = np.linspace(-7 * PI, 7 * PI, 2001).tolist()
+    for k in range(1, 9):
+        for t in (k * PI, 2 * k * PI, k * PI / 4):
+            for s in (t, -t):
+                thetas += [s, math.nextafter(s, math.inf), math.nextafter(s, -math.inf)]
+    thetas += [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               math.ulp(PI), 1e16, 2**53 + 1.0]
+    thetas += [0, 1, -1, 3, 7, -22, 10**20, True, False]
+    thetas += [np.float32(0.1), np.float32(-3.5), np.float64(PI), np.float64(-2 * PI), np.int64(5)]
+    return thetas
+
+
+def test_scalar_correlation_matches_the_reference_fold():
+    # correlation folds inline; it must give _corr(reduce_angle(theta)) bit for bit
+    for model in _all_models():
+        for theta in _fold_inputs():
+            got = model.correlation(theta)
+            want = model._corr(reduce_angle(theta))
+            assert got.hex() == want.hex(), (type(model).__name__, theta)
+        for bad in (math.nan, math.inf, -math.inf, None, "abc"):
+            with pytest.raises(Exception) as got:
+                model.correlation(bad)
+            with pytest.raises(Exception) as want:
+                model._corr(reduce_angle(bad))
+            assert (got.type, str(got.value)) == (want.type, str(want.value)), bad
 
 
 @pytest.mark.parametrize("data,key", [
@@ -452,6 +502,13 @@ def test_classify_chsh():
     assert classify_chsh(QUANTUM_BOUND) == "quantum-maximal"
     assert classify_chsh(3.9) == "superquantum"
     assert classify_chsh(4.2) == "exceeds-algebraic-bound"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_classify_chsh_rejects_nonfinite(value):
+    # nan used to read "exceeds-algebraic-bound"
+    with pytest.raises(ValueError, match="CHSH value must be finite"):
+        classify_chsh(value)
 
 
 def test_chsh_capped_at_four_for_random_boxes(rng):
@@ -968,3 +1025,19 @@ def test_sampling_matches_per_setting_loops(rng):
         assert np.array_equal(np.array(report.counts), counts)
         assert np.array(report.correlations).tobytes() == corr.tobytes()
         assert (report.chsh_estimate, report.std_error) == (estimate, std_error)
+
+
+@pytest.mark.parametrize("n", [2**53 - 1, 2**53 + 1, 2**62 + 12345, 2**63 - 1])
+def test_sampling_matches_per_setting_loops_at_large_n(rng, n):
+    # beyond 2**53 counts round on their way to floats, so the statistics must
+    # convert and sum as numpy's int64 arrays do
+    boxes = [box_from_model(model, *rng.uniform(-PI, PI, 4).tolist()) for model in _all_models()]
+    boxes += [NoSignallingBox(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2))
+              for _ in range(10)]
+    for box in boxes:
+        seed = int(rng.integers(2**31))
+        counts, corr, estimate, std_error = box_oracle.sample_statistics(box.probs, n, seed)
+        report = sample_outcomes(box, n, seed)
+        assert np.array_equal(np.array(report.counts, dtype=np.int64), counts)
+        assert np.array(report.correlations).tobytes() == corr.tobytes()
+        assert (report.chsh_estimate.hex(), report.std_error.hex()) == (estimate.hex(), std_error.hex())
