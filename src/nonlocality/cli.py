@@ -3,10 +3,10 @@
 One binary with subcommands ``chsh``, ``nosig``, ``jam``, ``boost`` and
 ``sample``. Each prints one report, as JSON with sorted keys (identical
 inputs and seeds give byte-identical JSON) or as text lines: the envelope
-``command``, ``params`` (the inputs echoed), ``results``, ``ok`` and
-``duration_s`` (null without ``--timing``). Where a report is a library
-dataclass, ``results`` holds its fields in declaration order (the text line
-order), with tuples written as lists and events as ``[x..., t]``. Exit
+``command``, ``params`` (the inputs echoed), ``results`` and ``ok``, with
+no wall-clock time in it. Where a report is a library dataclass,
+``results`` holds its fields in declaration order (the text line order),
+with tuples written as lists and events as ``[x..., t]``. Exit
 codes: 0 on success, 1 when a checked claim fails (a verdict is false), 2
 on input errors. Any option takes a dash-leading number as its value,
 in every form ``float()`` reads: ``--position -0.4,1.6``, ``--tol -1e-9``,
@@ -41,7 +41,6 @@ import math
 import os
 import re
 import sys
-import time
 
 from . import jamming as jam
 from . import spacetime as st
@@ -457,9 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--timing", action="store_true", help="include wall-clock duration in the report"
-        )
 
     model_reads = ("--angles", "--optimize", "--curve")
     p = sub.add_parser("chsh", help="CHSH value of a model, box, or strategy family", reads={
@@ -556,6 +552,7 @@ _DISPATCH = {
 
 
 def _render_text(value, indent=0) -> list[str]:
+    """Text lines of a dict or a list of JSON data, nested items indented."""
     pad = "  " * indent
     lines = []
     if isinstance(value, dict):
@@ -566,15 +563,13 @@ def _render_text(value, indent=0) -> list[str]:
                 lines.extend(_render_text(item, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_fmt_scalar(item)}")
-    elif isinstance(value, list):
+    else:
         for item in value:
             if isinstance(item, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_fmt_scalar(item)}")
-    else:
-        lines.append(f"{pad}{_fmt_scalar(value)}")
     return lines
 
 
@@ -594,7 +589,6 @@ def _fmt_scalar(value) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    started = time.perf_counter()
     try:
         results, params, ok = _DISPATCH[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -605,7 +599,6 @@ def main(argv=None) -> int:
         "params": params,
         "results": results,
         "ok": ok,
-        "duration_s": round(time.perf_counter() - started, 6) if args.timing else None,
     })
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2)

@@ -305,19 +305,24 @@ def chsh(box: NoSignallingBox) -> ChshResult:
     return ChshResult(value=e00 + e01 + e10 - e11, terms=(e00, e01, e10, e11))
 
 
-def classify_chsh(value: float, tol: float = 1e-6) -> str:
-    """Place |value| against the classical, quantum and algebraic bounds;
-    ``ValueError`` if it is not finite."""
+# Band of classify_chsh around the classical, quantum and algebraic bounds
+_CLASSIFY_TOL = 1e-6
+
+
+def classify_chsh(value: float) -> str:
+    """Place |value| against the classical, quantum and algebraic bounds,
+    each with a band of ``_CLASSIFY_TOL`` (1e-6); ``ValueError`` if it is not
+    finite."""
     a = abs(value)
     if not a < math.inf:
         raise ValueError(f"CHSH value must be finite, got {value}")
-    if a <= CLASSICAL_BOUND + tol:
+    if a <= CLASSICAL_BOUND + _CLASSIFY_TOL:
         return "classical"
-    if abs(a - QUANTUM_BOUND) <= tol:
+    if abs(a - QUANTUM_BOUND) <= _CLASSIFY_TOL:
         return "quantum-maximal"
     if a < QUANTUM_BOUND:
         return "quantum"
-    if a <= ALGEBRAIC_BOUND + tol:
+    if a <= ALGEBRAIC_BOUND + _CLASSIFY_TOL:
         return "superquantum"
     return "exceeds-algebraic-bound"
 
@@ -470,6 +475,8 @@ class TableModel(CorrelationModel):
     segment j gives slope_j * (theta - x_j) + y_j, the slopes computed at
     construction as np.interp computes them, (y_{j+1} - y_j) / (x_{j+1} -
     x_j). Both agree bit for bit (``test_table_scalar_equals_array_at_edges``).
+    A slope that is not finite, from a segment narrower than about 1e-308,
+    raises ``ValueError`` naming the segment, as E would be infinite inside it.
     """
 
     kind = "table"
@@ -486,6 +493,10 @@ class TableModel(CorrelationModel):
         self._xs = xs
         self._ys = ys = [min(max(y, -1.0), 1.0) for y in ys]  # as np.clip, -0.0 kept
         self._slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)]
+        for j, slope in enumerate(self._slopes):
+            if not abs(slope) < math.inf:
+                raise ValueError(f"segment {j} from theta {xs[j]!r} to {xs[j + 1]!r} is too "
+                                 f"narrow: its slope is {slope}")
 
     @property
     def thetas(self) -> np.ndarray:
@@ -617,18 +628,22 @@ _TERM_AXES = ((0, 2), (0, 3), (1, 2), (1, 3))
 # (term index, index of the term's other angle).
 _MOVES = tuple(tuple((k, p + q - i) for k, (p, q) in enumerate(_TERM_AXES) if i in (p, q))
                for i in range(4))
+# Grid step of maximize_chsh's coarse sweeps, and the step below which its
+# refinement stops
+_COARSE_STEP = math.pi / 180.0
+_FINAL_STEP = 1e-8
 
 
-def maximize_chsh(model: CorrelationModel, coarse_step: float = math.pi / 180.0,
-                  final_step: float = 1e-8, extra_starts: int = 4, seed: int = 0) -> ChshOptimum:
+def maximize_chsh(model: CorrelationModel, *, extra_starts: int = 4, seed: int = 0) -> ChshOptimum:
     """Maximize |CHSH| over the four measurement angles.
 
-    Per-coordinate exhaustive search at ``coarse_step``, then shrinking-step
-    coordinate descent until the step drops below ``final_step``. Runs from
-    the known-good presets plus ``extra_starts`` seeded random starts so
-    custom models are not at the mercy of a single basin. Raises
-    ``ValueError`` naming the argument unless both steps are finite and
-    > 0 and ``extra_starts`` and ``seed`` are integers >= 0.
+    Per-coordinate exhaustive search on a grid of step ``_COARSE_STEP`` (one
+    degree), then shrinking-step coordinate descent from that step until it
+    drops below ``_FINAL_STEP`` (1e-8). Runs from the known-good presets
+    plus ``extra_starts`` random starts drawn from ``seed``, so custom
+    models are not at the mercy of a single basin. Both are keyword-only.
+    Raises ``ValueError`` naming the argument unless ``extra_starts`` and
+    ``seed`` are integers >= 0.
 
     Before each start the best |CHSH| so far is tested against
     ``model.chsh_bound``, which no start can beat, and the search ends once
@@ -653,9 +668,6 @@ def maximize_chsh(model: CorrelationModel, coarse_step: float = math.pi / 180.0,
     terms only if that is an ulp off the old angle. Results are those of
     evaluating all four terms at every point.
     """
-    for name, step in (("coarse_step", coarse_step), ("final_step", final_step)):
-        if not _json_number(step, name) > 0.0:
-            raise ValueError(f"{name} must be > 0, got {step}")
     extra_starts = _json_number(extra_starts, "extra_starts", integer=True)
     if extra_starts < 0:
         raise ValueError(f"extra_starts must be >= 0, got {extra_starts}")
@@ -701,7 +713,7 @@ def maximize_chsh(model: CorrelationModel, coarse_step: float = math.pi / 180.0,
             break
         import numpy as np  # only a search that runs sweeps needs it
 
-        line = np.arange(0.0, two_pi, coarse_step)
+        line = np.arange(0.0, two_pi, _COARSE_STEP)
         angles = list(start)
         terms = all_terms(angles)
         val = value(terms)
@@ -720,8 +732,8 @@ def maximize_chsh(model: CorrelationModel, coarse_step: float = math.pi / 180.0,
             if not changed:
                 break
         # shrinking-step refinement
-        step = coarse_step
-        while step >= final_step:
+        step = _COARSE_STEP
+        while step >= _FINAL_STEP:
             improved = False
             for i in range(4):
                 (k0, j0), (k1, j1) = _MOVES[i]

@@ -73,6 +73,16 @@ def test_chsh_deterministic_all(capsys):
     assert all(abs(r["value"]) == 2.0 for r in rows)
 
 
+@pytest.mark.parametrize("sid", [0, 5, 15])
+def test_chsh_deterministic_one_strategy(capsys, sid):
+    _, every = run_json(capsys, "chsh", "--deterministic", "all")
+    code, report = run_json(capsys, "chsh", "--deterministic", str(sid))
+    assert code == 0
+    assert report["params"]["deterministic"] == str(sid)
+    row = every["results"]["strategies"][sid]
+    assert report["results"] == {"strategies": [row], "max_abs_value": abs(row["value"])}
+
+
 @pytest.mark.parametrize("value", ["16", "-1", "3.0", "abc"])
 def test_chsh_deterministic_takes_all_or_a_strategy_id(capsys, value):
     # 16 used to end in an IndexError traceback and -1 to report strategy 15
@@ -185,6 +195,19 @@ def test_chsh_curve_csv(tmp_path, capsys):
     assert float(last[1]) == -1.0
 
 
+@pytest.mark.parametrize("args,message", [
+    (["chsh", "--model", "singlet", "--curve", "5"], "--curve requires --csv PATH"),
+    (["jam", "--sweep"], "--sweep requires --csv PATH"),
+    (["jam", "--sweep", "--d", "2", "--sweep-range", "0,1,3"], "--sweep requires --csv PATH"),
+])
+def test_curve_and_sweep_without_csv_are_input_errors(tmp_path, monkeypatch, capsys, args,
+                                                      message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("model", ["singlet", "superquantum", "classical:6", "table"])
 def test_chsh_curve_rows_are_pointwise_correlations(tmp_path, capsys, model):
     if model == "table":
@@ -204,11 +227,11 @@ def test_chsh_curve_rows_are_pointwise_correlations(tmp_path, capsys, model):
 
 # `chsh --optimize --format json` output recorded before the search stopped
 # at the algebraic bound: the eq2 start reaches 4 for the superquantum model,
-# a later start for the step table. Since then only the note changed: both
-# values reach the bound 4, so the note calls them certified.
+# a later start for the step table. Since then only the note changed (both
+# values reach the bound 4, so the note calls them certified) and the
+# "duration_s": null line went.
 _SUPERQUANTUM_OPTIMUM_JSON = """{
   "command": "chsh",
-  "duration_s": null,
   "ok": true,
   "params": {
     "model": {
@@ -238,7 +261,6 @@ _SUPERQUANTUM_OPTIMUM_JSON = """{
 """
 _STEP_TABLE_OPTIMUM_JSON = """{
   "command": "chsh",
-  "duration_s": null,
   "ok": true,
   "params": {
     "model": {
@@ -278,6 +300,22 @@ _STEP_TABLE_OPTIMUM_JSON = """{
   }
 }
 """
+
+
+@pytest.mark.parametrize("thetas,values,message", [
+    ([0.0], [1.0], ">= 2 points"),
+    ([0.0, 1.0, math.pi], [1.0, 0.0], ">= 2 points"),
+    ([0.0, 2.0, 1.0], [1.0, 0.0, -1.0], "strictly increasing"),
+    ([0.0, 4.0], [1.0, -1.0], "within [0, pi]"),
+    ([0.0, 1e-320, math.pi], [1.0, -1.0, 0.0], "segment 0 from theta 0.0 to 1e-320"),
+])
+def test_chsh_model_file_rejects_bad_tables(tmp_path, capsys, thetas, values, message):
+    path = write_json(tmp_path / "t.json", {"kind": "table", "thetas": thetas, "values": values})
+    for op in ("--optimize", "--angles=eq2"):
+        code, out, err = run_cli(capsys, "chsh", "--model-file", path, op)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: table model keys 'thetas' and 'values': ")
+        assert message in err
 
 
 def test_chsh_optimize_output_at_bound_is_unchanged(tmp_path, capsys):
@@ -1099,7 +1137,7 @@ def test_fuzzed_options_end_in_a_report_or_an_input_error(tmp_path, capsys, argv
         assert out == ""
     else:
         report = json.loads(out)
-        assert set(report) == {"command", "params", "results", "ok", "duration_s"}
+        assert set(report) == {"command", "params", "results", "ok"}
         assert report["ok"] is (code == 0)
 
 
@@ -1187,14 +1225,16 @@ def test_fuzzed_input_files_end_in_a_report_or_an_input_error(tmp_path, capsys, 
 def test_report_json_roundtrips(capsys):
     code, report = run_json(capsys, "chsh", "--model", "singlet", "--angles", "eq2")
     assert json.loads(json.dumps(report)) == report
-    assert report["duration_s"] is None
+    assert set(report) == {"command", "params", "results", "ok"}
 
 
 def test_timing_flag_adds_duration(capsys):
-    code, report = run_json(
-        capsys, "chsh", "--model", "singlet", "--angles", "eq2", "--timing"
-    )
-    assert isinstance(report["duration_s"], float)
+    # --timing and its duration_s key are gone: every subcommand refuses it
+    for argv in (["chsh", "--model", "singlet"], ["nosig", "--builtin", "uniform"],
+                 ["jam", "--latest"], ["boost", "--events", "ev.json", "--v", "0.5"],
+                 ["sample", "--builtin", "uniform", "--n", "1"]):
+        code, out, err = run_any(capsys, *argv, "--timing")
+        assert (code, out) == (2, "") and "unrecognized arguments: --timing" in err
 
 
 def test_text_output_mentions_value(capsys):
@@ -1206,19 +1246,20 @@ def test_text_output_mentions_value(capsys):
 
 # SHA-256 of the JSON report (and CSV) of geometry commands, recorded while
 # interval, boost and cone_slack still ran in numpy; the plain-math layer
-# must reproduce them byte for byte.
+# must reproduce them byte for byte. Re-recorded when the envelope lost its
+# "duration_s": null line, from the earlier output with that line removed.
 _GEOMETRY_DIGESTS = [
     (["jam", "--config", "cfg.json"],
-     "383efbe2c5af9b8fe698649335d1f53f76575259ce277e49fee1e5678c905603"),
+     "e572baea2296bd59b24f35e0c7b4d13b90cf8da64fb680ac9772c07f0fcd1396"),
     (["jam", "--latest", "--d", "2", "--position", "0.3,0.4"],
-     "9794625dc091eec07b79511e6c3f24d4b547844ad65feeab8b47a37ca667ef97"),
+     "c1a10597ebed29a4f1be89a2dba67bf3d89827d409286ca2e323b9ba0ed9bb75"),
     (["jam", "--sweep", "--d", "2", "--position", "0.1,0.2", "--sweep-range", "-1.5,0.5,9",
       "--csv", "sweep.csv"],
-     "8e0a7f05341ced749608b24c71bec330901811dfad344da423765a04ae6cc0c8"),
+     "369c883e839cd7d2194ce2b007030fbc6463f1f481628f72085b20e5de8ab241"),
     (["jam", "--scenario", "sc.json"],
-     "e0b70b968aa6f1a469db070175a5a76fca325f4af6879c8895308d50a7ca894a"),
+     "650070fe23d7b28e7aff0f67dab476d51d190ea27c109efd050afde8d0143909"),
     (["boost", "--events", "ev.json", "--orderings"],
-     "f2362517db6a2e1e972099671ead5e039dd7c229afb6961611196e4b33aab5fd"),
+     "c310f41a547cff033c9b5054e97e19ebc98cf9d752e27877cce15e4f1bd6a11a"),
 ]
 
 
@@ -1240,39 +1281,40 @@ def test_geometry_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys, 
 
 # SHA-256 of stdout in JSON and in text format, with the exit code, for each
 # kind of report the CLI writes: recorded while every report dataclass still
-# had a hand-written to_json method, and unchanged since.
+# had a hand-written to_json method, and unchanged since but for the JSON
+# digests, re-recorded from that output without its "duration_s": null line.
 _REPORT_DIGESTS = [
     (["nosig", "--builtin", "singlet-optimal"], 0,
-     "edf8bd25ba8e80052f35503c27d9ec84bf6449869f5321bb1028c51403d52956",
+     "0a767cbf1bd6252601778d542a7916d8ab4f128e4da7ce99a9acda9b450b01c0",
      "74ae988379c05b7bb088ffd8aa8e886bbae34622c757dc3273901fc33a9221bd"),
     (["nosig", "--box", "sig.json"], 1,
-     "7d66a7b2ccfb3c8601b86c48d17b6f6dd948f03910d24709fbc790487889228f",
+     "01bfc28ecce29d0ba84adc1ef52ca8e6a334e29b3ebf7cddb0648fec9321ab11",
      "24eac4021ae7c0bd252e733bb131418b4aa5fc96928b4d102e49d8d58a810982"),
     # re-recorded when params.tol became the unary check's 1e-12 (it echoed the
     # geometric 1e-9); the rest of the report is unchanged
     (["jam", "--builtin", "superquantum-eq2", "--strength", "0.5"], 0,
-     "fbe120cb1e1fb7574a83a855b291187f3db244b84f0581976bb85e0176cd3db4",
+     "c17cef4e1654863837b65470879bd00c7c250085929ce8f08d36cc3eacc6e349",
      "b64594981aca6f101cf0f2be96684367f4ef4fea78d228b4ee4db07f73f48ad8"),
     (["sample", "--builtin", "superquantum-eq2", "--n", "100", "--seed", "3"], 0,
-     "a9a5162991927aa1e2707be04ff6c09ef61d8e831e0afaf60c78fe2da3584968",
+     "d010d24b8d51c2785d9cea99112c05f806c6a3a646f40f90e1a314c949fadb5a",
      "625328289e2eeae3d85556a2cdefa77e812485de39bc2baf73c89ef8a896bd03"),
     (["jam", "--config", "fail1.json"], 1,
-     "bf4e885a6d5f662d4418556904966dcd6f7afb9a1844d4da19c85616de3c9cab",
+     "9b9a646521413f2815131a7c41f75fa3ba45e90dbd9b0a3e0f47f7be4d040a83",
      "830fcba0232fcb59a9f5bbb642b132f92739e11dc33b85542297b033ad1d278e"),
     (["jam", "--config", "fail2.json"], 1,
-     "3387a0701be10010c3c3cf6b945d9ac6bd1f9832bbc8e3e1dff8b047fb95f620",
+     "74c98534ac387d6a66febfea75b6c4a5ebdd9cb2b2f86e7f1b4a5eeb156a66ad",
      "c0a12a43567570ae0b8709a8019fee4f502ac1aac9a3db90a889722214976222"),
     (["jam", "--config", "invalid.json"], 1,
-     "e7ea20ce7b8e54d906cd3b839b7f883d238df4f16998c0a2f05cf8098cab24ff",
+     "0162f82d2ad79454d0c3140a8437ac81538ef48e10fd8848287df65a3debb95f",
      "23bd7ada814c846b84be59c0bb6d9a801fd5fdb98412484cca183608e26717f5"),
     (["jam", "--latest", "--d", "1"], 0,
-     "e06060841903724ea494bea86761f0216b86573967b3afdf581424814c278f41",
+     "38e504005867eade2ab4d476f6a7e2287b1c34c566e6fa479ac8623c42a0cd5a",
      "9fe9ed941c12971d34d14c815a73f33b1e4765785026dcc43bbdbcce96ca511d"),
     (["jam", "--scenario", "sc.json"], 0,
-     "5330ed54d7ae0e6fdc6abf892c3c42f8f0c80ab3432d6a7395085a0c28cc4b45",
+     "b25c8164f7b64ead1a297547e91d041750555199c901b1bb2ed8689b3472b50e",
      "b200dad60857bbbef37ae0886bbdc5db6d11c27ba475644d10ea91b6208b5cf7"),
     (["chsh", "--deterministic", "all"], 0,
-     "d42348f0966f59d7f11fab3729ba4299dfb70705f1020ee14b3c6a170eab73ea",
+     "0455ea97f33f5474db35efa3dedf95de636f066da8138a8e8b533c34934b60cd",
      "ed11f209324bd787071b379dcf7905c55e905d52742277d162de54c68c00d6cf"),
 ]
 
@@ -1306,15 +1348,16 @@ def test_report_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys, ar
 # evaluated all four CHSH terms and the box checks still looped per setting.
 # The singlet and classical:5 entries were re-recorded when their note became
 # "certified maximum"; the note is the only line of those reports that changed.
+# The JSON digests were re-recorded again without the "duration_s": null line.
 _OPTIMUM_DIGESTS = [
     (["--model", "singlet"],
-     "6d2e773237abefdc83ad6a5ee1958b8c201e5c612224a6e519d10ff322d011ab",
+     "f5944d4ee7895550f4c92420079b3fd09f05bf0391ca957f501c4011eb3df281",
      "55934667961399436befab6521f2dbc36c85769aabeb0710500d9d6b762d60f1"),
     (["--model", "classical:5"],
-     "00ce281952b949dce757b2c95160e929e2765c3c0e961a8718887444dd4f0348",
+     "d8d0c38b298e199d90c1299c365139f0fd9fe8397a38d46e71632ba2e18743ea",
      "39d1d7e13197898807a6ac512bcf6d510f68d196be2ec2a4fc72e1be70ed7d62"),
     (["--model-file", "smooth.json"],
-     "8b8280875b1dd37ae5483efbb87d66e5f57c7b93433c74a55cf6a8f33ee941e2",
+     "fbe1312c9268c0ae769d073182ec961b54d776cf713c6895b32ab796e197ae63",
      "b752da7fa6229338ebdedd1ee376e70fdf1f12cdc82921feef6611fd75a8b0a4"),
 ]
 

@@ -157,7 +157,6 @@ def test_table_scalar_equals_array_at_edges():
         TableModel([0.5, 2.5], [-1.0, 1.0]),  # two points
         TableModel([0.0, 0.4, 1.3, 1.9, PI], [1.0, 0.25, 0.25, -0.8, -1.0]),  # flat segment
         TableModel([0.0, PI], [0.7, -0.2]),
-        TableModel([0.0, 5e-324, 1.0, PI], [1.0, -1.0, 0.5, 0.0]),  # infinite slope
     ]
     for model in tables:
         nodes = model.thetas.tolist()
@@ -173,6 +172,36 @@ def test_table_scalar_equals_array_at_edges():
             assert model.correlation(t) == v
     assert tables[2].correlation(0.8) == 0.25
     assert tables[0].correlation(0.0) == 0.3 and tables[0].correlation(PI) == 0.9
+
+
+@pytest.mark.parametrize("thetas,values,message", [
+    ([], [], "need matching 1-d theta/value arrays with >= 2 points"),
+    ([0.0], [1.0], "with >= 2 points"),
+    ([0.0, 1.0, PI], [1.0, 0.0], "need matching"),
+    ([0.0, 1.0, 1.0, PI], [1.0, 0.0, 0.0, -1.0], "strictly increasing"),
+    ([0.0, 2.0, 1.0], [1.0, 0.0, -1.0], "strictly increasing"),
+    ([-1e-300, 1.0], [1.0, -1.0], r"within \[0, pi\]"),
+    ([0.0, math.nextafter(PI, 4.0)], [1.0, -1.0], r"within \[0, pi\]"),
+])
+def test_table_rejects_bad_thetas(thetas, values, message):
+    with pytest.raises(ValueError, match=message):
+        TableModel(thetas, values)
+    with pytest.raises(ValueError, match="^table model keys 'thetas' and 'values': .*" + message):
+        model_from_json({"kind": "table", "thetas": thetas, "values": values})
+
+
+@pytest.mark.parametrize("thetas,values", [
+    ([0.0, 5e-324, 1.0, PI], [1.0, -1.0, 0.5, 0.0]),
+    ([0.0, 1e-320, PI], [1.0, -1.0, 0.0]),  # E(5e-321) was -inf
+])
+def test_table_rejects_infinite_slopes(thetas, values):
+    with pytest.raises(ValueError, match=r"segment 0 from theta 0\.0 to .* slope is -inf"):
+        TableModel(thetas, values)
+    with pytest.raises(ValueError, match="table model keys 'thetas' and 'values': segment 0"):
+        model_from_json({"kind": "table", "thetas": thetas, "values": values})
+    # a segment as narrow with a rise small enough has a finite slope
+    model = TableModel(thetas, [1e-300, 0.0] + values[2:])
+    assert model.correlation(thetas[1] / 2) == model._corr_array(np.array([thetas[1] / 2]))[0]
 
 
 class _PointwiseModel(CorrelationModel):
@@ -734,11 +763,11 @@ def test_maximize_counts_evaluations():
     for start in _search_starts(extra, 0):
         steps, restores = _refinement(start, coarse, final)
         total += 4 + 4 * 2 * grid + steps * 8 * 2 + 2 * restores
-    opt = maximize_chsh(TableModel([0.0, PI], [0.5, 0.5]), coarse, final, extra)
+    opt = maximize_chsh(TableModel([0.0, PI], [0.5, 0.5]), extra_starts=extra)
     assert opt.value == 1.0
     assert opt.evaluations == total
     # the same starts on a model that improves take more points
-    assert maximize_chsh(_PointwiseModel(), coarse, final, extra).evaluations > opt.evaluations
+    assert maximize_chsh(_PointwiseModel(), extra_starts=extra).evaluations > opt.evaluations
 
 
 def test_maximize_superquantum_runs_one_start():
@@ -810,15 +839,30 @@ def test_random_angles_stay_within_the_model_bound():
                                    {"coarse_step": 0.0}, {"final_step": math.nan},
                                    {"coarse_step": -0.1}, {"coarse_step": math.nan}])
 def test_maximize_rejects_nonpositive_steps(steps):
-    # final_step=0 used to loop forever: the step halves to 0.0 and 0.0 >= 0.0
-    with pytest.raises(ValueError, match=next(iter(steps))):
+    # final_step=0 used to loop forever: the step halves to 0.0 and 0.0 >= 0.0.
+    # The step sizes are constants now, so no step argument is taken at all.
+    with pytest.raises(TypeError, match=next(iter(steps))):
         maximize_chsh(SingletModel(), **steps)
 
 
+def test_maximize_takes_no_steps_and_keyword_only_options():
+    # extra_starts and seed are keyword-only: maximize_chsh(m, 2.0, 1e-8),
+    # written when the two steps came first, would otherwise run with
+    # extra_starts=2
+    model = TableModel([0.0, PI], [0.5, -0.5])
+    for kwargs in ({"coarse_step": PI / 180.0}, {"coarse_step": math.inf},
+                   {"final_step": math.inf}, {"coarse_step": True}):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            maximize_chsh(model, **kwargs)
+    for args in ((2.0, 1e-8), (4,), (4, 0)):
+        with pytest.raises(TypeError, match="positional"):
+            maximize_chsh(model, *args)
+
+
 @pytest.mark.parametrize("kwargs,message", [
-    ({"coarse_step": math.inf}, "coarse_step must be a finite number"),
-    ({"final_step": math.inf}, "final_step must be a finite number"),
-    ({"coarse_step": True}, "coarse_step must be a finite number"),
+    ({"extra_starts": math.inf}, "extra_starts must be an integer"),
+    ({"extra_starts": True}, "extra_starts must be an integer"),
+    ({"seed": math.nan}, "seed must be an integer"),
     ({"extra_starts": -3}, "extra_starts must be >= 0"),
     ({"extra_starts": 2.5}, "extra_starts must be an integer"),
     ({"extra_starts": "2"}, "extra_starts must be an integer"),
@@ -829,11 +873,10 @@ def test_maximize_rejects_nonpositive_steps(steps):
     ({"seed": True}, "seed must be an integer"),
 ])
 def test_maximize_rejects_bad_arguments(kwargs, message):
-    # coarse_step=inf used to fail as "angle must be finite", extra_starts=-3
-    # ran no extra start and 2.5 raised a bare TypeError; seed=-1 failed in
-    # numpy without naming the seed, 1.5 and "3" raised TypeError and None
-    # drew OS entropy. Each is checked before the certified singlet returns
-    # and before a table searches.
+    # extra_starts=-3 ran no extra start and 2.5 raised a bare TypeError;
+    # seed=-1 failed in numpy without naming the seed, 1.5 and "3" raised
+    # TypeError and None drew OS entropy. Each is checked before the
+    # certified singlet returns and before a table searches.
     for model in (SingletModel(), TableModel([0.0, PI], [0.5, -0.5])):
         with pytest.raises(ValueError, match=message):
             maximize_chsh(model, **kwargs)

@@ -349,6 +349,14 @@ def test_latest_jammer_non_finite_position(position):
     assert str(exc.value) == want
 
 
+@pytest.mark.parametrize("d", [0, -1, -5])
+def test_latest_jammer_time_needs_a_spatial_dimension(d):
+    with pytest.raises(ValueError, match=f"^spatial dimension must be at least 1, got {d}$"):
+        latest_jammer_time(d)
+    with pytest.raises(ValueError, match="at least 1"):
+        latest_jammer_time(d, position=())
+
+
 # 1.5 and "2" used to fail in tuple arithmetic with a TypeError, and True
 # gave a result with d=True
 @pytest.mark.parametrize("d, position", [(1.5, None), ("2", None), (True, (0.2,))])
@@ -537,6 +545,14 @@ def test_scenario_rejects_invalid_configuration():
     )
     with pytest.raises(ValueError, match="not mutually spacelike"):
         detect_causal_loops(JamScenario((good, bad)))
+
+
+def test_scenario_rejects_mixed_dimensions():
+    mixed = (cfg_1d(0.0, 0.5), cfg_2d(0.0, 0.1, 0.5))
+    with pytest.raises(ValueError, match=r"mismatched dimensions: \[1, 2\]"):
+        JamScenario(mixed)
+    with pytest.raises(ValueError, match=r"mismatched dimensions: \[1, 2\]"):
+        JamScenario.from_json([c.to_json() for c in mixed])
 
 
 def test_scenario_json_roundtrip():

@@ -336,6 +336,21 @@ def test_orderings_rejects_non_spacelike():
         achievable_orderings([Event((0.0,), 0.0), Event((0.0,), 1.0)])
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("third,message", [
+    ((0.5, 2.0), "events 1 and 2 are timelike, not spacelike"),
+    ((2.0, 2.0), "events 1 and 2 are null, not spacelike"),
+    ((1e154, 0.0), "between events 0 and 2 overflows"),
+])
+def test_orderings_in_higher_dimensions_name_the_bad_pair(d, third, message):
+    # d >= 2 checks each pair in its own loop, apart from the d = 1 sweep
+    x, t = third
+    events = [Event((-1e154,) + (0.0,) * (d - 1), 0.0), Event((0.0,) * d, 0.0),
+              Event((x,) + (0.0,) * (d - 1), t)]
+    with pytest.raises(ValueError, match=message):
+        achievable_orderings(events)
+
+
 def test_orderings_overflow_names_the_pair():
     # |dx|^2 = inf used to turn the half-spaces into NaN: no order, no error
     events = [Event((0.0,), 0.0), Event((-1e154,), 0.0), Event((1e154,), 0.0)]
