@@ -850,19 +850,23 @@ def test_maximize_takes_no_steps_and_keyword_only_options():
     # written when the two steps came first, would otherwise run with
     # extra_starts=2
     model = TableModel([0.0, PI], [0.5, -0.5])
-    for kwargs in ({"coarse_step": PI / 180.0}, {"coarse_step": math.inf},
-                   {"final_step": math.inf}, {"coarse_step": True}):
-        with pytest.raises(TypeError, match=next(iter(kwargs))):
-            maximize_chsh(model, **kwargs)
+    with pytest.raises(TypeError, match="coarse_step"):
+        maximize_chsh(model, coarse_step=PI / 180.0)
     for args in ((2.0, 1e-8), (4,), (4, 0)):
         with pytest.raises(TypeError, match="positional"):
             maximize_chsh(model, *args)
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    ({"extra_starts": math.inf}, "extra_starts must be an integer"),
-    ({"extra_starts": True}, "extra_starts must be an integer"),
-    ({"seed": math.nan}, "seed must be an integer"),
+    # The first three cases keep the ids they had when the steps were
+    # arguments checked to be finite; the steps are constants now, so
+    # naming either is a TypeError.
+    pytest.param({"coarse_step": math.inf}, "unexpected keyword argument 'coarse_step'",
+                 id="kwargs0-coarse_step must be a finite number"),
+    pytest.param({"final_step": math.inf}, "unexpected keyword argument 'final_step'",
+                 id="kwargs1-final_step must be a finite number"),
+    pytest.param({"coarse_step": True}, "unexpected keyword argument 'coarse_step'",
+                 id="kwargs2-coarse_step must be a finite number"),
     ({"extra_starts": -3}, "extra_starts must be >= 0"),
     ({"extra_starts": 2.5}, "extra_starts must be an integer"),
     ({"extra_starts": "2"}, "extra_starts must be an integer"),
@@ -871,14 +875,18 @@ def test_maximize_takes_no_steps_and_keyword_only_options():
     ({"seed": "3"}, "seed must be an integer"),
     ({"seed": None}, "seed must be an integer"),
     ({"seed": True}, "seed must be an integer"),
+    ({"extra_starts": math.inf}, "extra_starts must be an integer"),
+    ({"extra_starts": True}, "extra_starts must be an integer"),
+    ({"seed": math.nan}, "seed must be an integer"),
 ])
 def test_maximize_rejects_bad_arguments(kwargs, message):
     # extra_starts=-3 ran no extra start and 2.5 raised a bare TypeError;
     # seed=-1 failed in numpy without naming the seed, 1.5 and "3" raised
     # TypeError and None drew OS entropy. Each is checked before the
     # certified singlet returns and before a table searches.
+    error = TypeError if kwargs.keys() & {"coarse_step", "final_step"} else ValueError
     for model in (SingletModel(), TableModel([0.0, PI], [0.5, -0.5])):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             maximize_chsh(model, **kwargs)
 
 
