@@ -10,12 +10,13 @@ check those conditions in any spatial dimension.
 Exports resolve lazily (PEP 562): ``import nonlocality`` loads no
 submodule, and a name loads its submodule on first access. No module
 imports numpy when it loads: only the array code in ``correlations``
-imports it when called. That is sampling, the ndarray views of a box or a
-table, and a ``maximize_chsh`` search that runs: its random starts and its
-coarse sweeps, by ``np.interp`` for a table and point by point for any
-other model. The geometry, the jamming decisions, the box checks, every
-model's E and a search certified at its model's CHSH bound (the singlet,
-the deterministic strategies, the superquantum model) run without it.
+imports it when called. That is the ndarray views of a box or a table, and
+a ``maximize_chsh`` search that runs: its random starts and its coarse
+sweeps, by ``np.interp`` for a table and point by point for any other
+model. The geometry, the jamming decisions, the box checks, sampling,
+every model's E and a search certified at its model's CHSH bound (the
+singlet, the deterministic strategies, the superquantum model) run
+without it.
 """
 
 import importlib

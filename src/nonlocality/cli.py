@@ -22,10 +22,11 @@ that a library check rejects fails as ``error: ...`` on stderr, also exit 2.
 
 Only the subcommands that work on boxes or correlation models import
 ``correlations``: ``chsh``, ``nosig``, ``sample`` and ``jam --box/--builtin``.
-Of those, only ``sample`` and ``chsh --optimize`` on a table below its CHSH
-bound at the eq2 preset import numpy. The singlet, ``classical:ID`` and
-superquantum models reach their bound there, so their ``--optimize``, like
-``--curve``, does not. The others, and the geometry subcommands
+Of those, only ``chsh --optimize`` on a table below its CHSH bound at the
+eq2 preset imports numpy. The singlet, ``classical:ID`` and superquantum
+models reach their bound there, so their ``--optimize``, like ``--curve``,
+does not. The others, ``sample`` among them (its draws come from the
+standard library's ``random``), and the geometry subcommands
 (``jam --config``, ``--latest``, ``--sweep`` and ``--scenario``, and
 ``boost``), run on the standard library alone, which keeps their cold start
 short.
@@ -382,8 +383,6 @@ def _cmd_boost(args):
 
 
 def _cmd_sample(args):
-    import numpy as np
-
     from . import correlations as corr
 
     if args.box is not None or args.builtin is not None:
@@ -396,7 +395,9 @@ def _cmd_sample(args):
         source = {"model": model, "angles": angles}
     seed = args.seed
     if seed is None:
-        seed = int(np.random.SeedSequence().entropy % (2**32))
+        import random
+
+        seed = random.SystemRandom().getrandbits(32)
     report = corr.sample_outcomes(box, args.n, seed)
     params = {"n": args.n, "seed": seed, **source}
     return report, params, True
@@ -415,8 +416,7 @@ class _Parser(argparse.ArgumentParser):
     number; its own pattern matches a bare decimal only (``-1``, ``-.5``), so
     ``-0.4,1.6``, ``-1e-05`` or ``-inf,0`` read as unknown options. Here it
     matches everything ``float()`` reads after a minus sign. Subparsers are
-    built from this class too, as ``add_subparsers`` defaults to the type of
-    its parser.
+    ``_CommandParser``, a subclass.
 
     ``reads`` maps each source or operation flag to the options it reads.
     An option named there, given without any flag that reads it, would be
@@ -446,13 +446,24 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser: it refuses an unknown option itself, so that
+    the error shows the subcommand's usage, not the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nonlocality",
         description="Superquantum correlations and the jamming model: "
         "CHSH bounds, no-signalling checks, and causal-order geometry.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")

@@ -13,12 +13,13 @@ model reaches 4 while keeping uniform single-party marginals.
 
 Every caller passes one box or one angle at a time, so boxes, models and
 their checks are plain ``math`` on floats, and each model has one E,
-``correlation``. numpy is imported only where arrays pay: in
-``sample_outcomes`` (multinomial draws), in the random starts and coarse
-sweeps of a ``maximize_chsh`` search that runs (``np.interp`` for a table,
-the pointwise default ``_corr_array`` for other models), and in the ndarray
-views ``NoSignallingBox.probs``, ``correlations()``, ``marginals()`` and
-``TableModel.thetas`` and ``values``.
+``correlation``. numpy is imported only where arrays pay: in the random
+starts and coarse sweeps of a ``maximize_chsh`` search that runs
+(``np.interp`` for a table, the pointwise default ``_corr_array`` for other
+models), and in the ndarray views ``NoSignallingBox.probs``,
+``correlations()``, ``marginals()`` and ``TableModel.thetas`` and
+``values``. ``sample_outcomes`` draws its counts from the standard
+library's ``random``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import fabs, floor, lgamma, log, log2, sqrt
 from operator import sub
 from typing import TYPE_CHECKING, Callable
 
@@ -785,41 +787,110 @@ class SampleReport:
     std_error: float
 
 
-# Largest n: numpy's multinomial draw takes an int64 count
+# Largest n: the int64 limit, so that every count fits an int64 array
 _MAX_SAMPLES = 2**63 - 1
+
+
+def _binomial(random: Callable[[], float], n: int, p: float) -> int:
+    """A Binomial(n, p) draw from the uniform floats of ``random``.
+
+    CPython 3.12's ``random.Random.binomialvariate`` (the same source in
+    3.13), draw for draw: Devroye's geometric method below n*p = 10 and
+    Hörmann's BTRS transformed rejection (1993) above it, for p <= 1/2; a
+    larger p draws n - Binomial(n, 1 - p). Kept here so that every supported
+    Python draws the same counts. p is at least 0; where the standard
+    library refuses a p above 1, this draws n, as for p = 1.
+    """
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if n == 1:
+        return int(random() < p)
+    flip = p > 0.5
+    if flip:
+        p = 1.0 - p
+    mean = n * p
+    if mean < 10.0:
+        x = y = 0
+        c = log2(1.0 - p)
+        if c:
+            while True:
+                y += floor(log2(random()) / c) + 1
+                if y > n:
+                    break
+                x += 1
+        return n - x if flip else x
+    spq = sqrt(mean * (1.0 - p))  # the standard deviation
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    a2, c = 2.0 * a, mean + 0.5
+    vr = 0.92 - 4.2 / b
+    h = None
+    while True:
+        u = random() - 0.5
+        us = 0.5 - fabs(u)
+        k = floor((a2 / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = random()
+        if us >= 0.07 and v <= vr:  # the squeeze: most draws end here
+            break
+        if h is None:  # set up the exact test once per draw
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = log(p / (1.0 - p))
+            m = floor((n + 1) * p)  # the mode
+            h = lgamma(m + 1) + lgamma(n - m + 1)
+        v *= alpha / (a / (us * us) + b)
+        if log(v) <= h - lgamma(k + 1) - lgamma(n - k + 1) + (k - m) * lpq:
+            break
+    return n - k if flip else k
 
 
 def sample_outcomes(box: NoSignallingBox, n: int, seed: int) -> SampleReport:
     """Draw n outcome pairs per setting pair and estimate the CHSH sum.
 
-    Uses numpy's PCG64 generator, so reports are reproducible across
-    platforms for a fixed seed. The standard error combines the binomial
-    variance of each correlation term.
+    The draws come from ``random.Random(seed)`` (MT19937), whose seeding is
+    the same on every platform and Python version, so a seed reproduces its
+    report. Each setting pair is one multinomial draw, made as numpy's
+    ``multinomial`` makes it: outcome j takes a Binomial(left, p_j / rest)
+    count of the ``left`` draws not yet placed (all of them where rounding
+    puts p_j at or above rest), rest drops by p_j, and the last outcome
+    takes what is left. No binomial is drawn once none is left, so rest
+    stays above 0 where it divides. The standard error combines the
+    binomial variance of each correlation term.
 
-    Only the draws use numpy, one ``multinomial`` per setting pair. The
-    statistics run on the counts as Python ints in numpy's operations and
-    order for int64 arrays: p_same = float(n_00 + n_11) / float(n), and the
-    four variances summed from 0.0 in setting order, as ``ndarray.sum`` does.
-    Bits agree up to n = 2**63 - 1
+    The statistics run on the counts as Python ints in numpy's operations
+    and order for int64 arrays: p_same = float(n_00 + n_11) / float(n), and
+    the four variances summed from 0.0 in setting order, as ``ndarray.sum``
+    does. Bits agree up to n = 2**63 - 1
     (``test_sampling_matches_per_setting_loops_at_large_n``).
     """
     n = _json_number(n, "n", integer=True)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > _MAX_SAMPLES:
-        raise ValueError(f"n must be <= {_MAX_SAMPLES}, numpy's int64 limit, got {n}")
+        raise ValueError(f"n must be <= {_MAX_SAMPLES}, the int64 limit, got {n}")
     seed = _json_number(seed, "seed", integer=True)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    import numpy as np
+    import random  # here, so that the calls that never sample do not load it
 
-    rng = np.random.default_rng(seed)
+    draw = random.Random(seed).random
+    probs = box._p
     total = float(n)
     counts, corr, var = [], [], 0.0
     for k in (0, 4, 8, 12):
-        c = rng.multinomial(n, box._p[k:k + 4]).tolist()
-        counts.append(((c[0], c[1]), (c[2], c[3])))
-        p_same = float(c[0] + c[3]) / total
+        p0, p1, p2, _ = probs[k:k + 4]
+        c0 = _binomial(draw, n, p0)  # rest = 1.0: p0 itself
+        left, rest = n - c0, 1.0 - p0
+        c1 = _binomial(draw, left, p1 / rest) if left else 0
+        left -= c1
+        rest -= p1
+        c2 = _binomial(draw, left, p2 / rest) if left else 0
+        c3 = left - c2
+        counts.append(((c0, c1), (c2, c3)))
+        p_same = float(c0 + c3) / total
         corr.append(2.0 * p_same - 1.0)
         var += 4.0 * p_same * (1.0 - p_same) / total
     return SampleReport(n_per_pair=n, seed=seed,

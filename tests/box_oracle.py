@@ -76,13 +76,10 @@ def unary_deviation(original, jammed):
     return dev
 
 
-def sample_statistics(probs, n, seed):
-    """Counts, correlations, estimate and standard error of ``sample_outcomes``."""
-    rng = np.random.default_rng(seed)
-    counts = np.empty((2, 2, 2, 2), dtype=np.int64)
-    for x in (0, 1):
-        for y in (0, 1):
-            counts[x, y] = rng.multinomial(n, probs[x, y].ravel()).reshape(2, 2)
+def sample_statistics(counts, n):
+    """Correlations, estimate and standard error of ``sample_outcomes`` from
+    its counts, in numpy's int64 arithmetic."""
+    counts = np.array(counts, dtype=np.int64)
     corr = np.empty((2, 2))
     var = np.empty((2, 2))
     for x in (0, 1):
@@ -92,4 +89,4 @@ def sample_statistics(probs, n, seed):
             corr[x, y] = 2.0 * p_same - 1.0
             var[x, y] = 4.0 * p_same * (1.0 - p_same) / n
     estimate = corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]
-    return counts, corr, float(estimate), math.sqrt(var.sum())
+    return corr, float(estimate), math.sqrt(var.sum())

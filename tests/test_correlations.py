@@ -1,6 +1,8 @@
 import json
 import math
+import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from nonlocality.correlations import (
     ChshResult,
     NoSignallingReport,
     UnaryReport,
+    _binomial,
     model_from_json,
 )
 
@@ -988,6 +991,81 @@ def test_sampling_error_scales_as_sqrt_n():
     assert se_large == pytest.approx(se_small / 10.0, rel=0.2)
 
 
+# (n, p) in each regime of the binomial draw: n = 1, the geometric method
+# (n*p < 10), BTRS, p > 1/2, p of 0 and 1, and the largest n a sample takes
+_BINOMIAL_CASES = [(1, 0.3), (1, 0.7), (2, 0.5), (25, 0.2), (1000, 0.004), (30, 0.9),
+                   (50, 0.5), (1000, 0.3), (10**6, 0.0732233047033631), (10**6, 0.8),
+                   (7, 0.0), (7, 1.0), (2**63 - 1, 0.25), (2**63 - 1, 0.9), (2**63 - 1, 1e-18)]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="binomialvariate is new in Python 3.12")
+def test_binomial_draws_equal_the_standard_library():
+    meta = random.Random(2024)
+    cases = list(_BINOMIAL_CASES)
+    for _ in range(100):
+        n = meta.choice((2, 3, 30, 10**4, 10**9, 2**63 - 1))
+        cases += [(n, meta.random()), (n, min(1.0, 10.0 * meta.random() / n))]
+    for seed, (n, p) in enumerate(cases):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draws = [_binomial(ours.random, n, p) for _ in range(20)]
+        assert draws == [theirs.binomialvariate(n, p) for _ in range(20)], (seed, n, p)
+        assert ours.getstate() == theirs.getstate(), (seed, n, p)
+
+
+@pytest.mark.parametrize("n,p", [(12, 0.3), (40, 0.2), (1000, 0.004), (150, 0.35), (400, 0.9)])
+def test_binomial_draws_fit_the_binomial_pmf(n, p):
+    # Pearson's chi-square over bins with an expected count of at least 5,
+    # against the chi-square quantile at z = 5 (Wilson-Hilferty)
+    draws = 20_000
+    rng = random.Random(n)
+    observed = [0] * (n + 1)
+    for _ in range(draws):
+        observed[_binomial(rng.random, n, p)] += 1
+    bins = [[0, 0.0]]  # observed and expected counts, merged from k = 0 up
+    for k in range(n + 1):
+        if bins[-1][1] >= 5.0:
+            bins.append([0, 0.0])
+        bins[-1][0] += observed[k]
+        bins[-1][1] += draws * math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+    if bins[-1][1] < 5.0:
+        o, e = bins.pop()
+        bins[-1][0] += o
+        bins[-1][1] += e
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    df = len(bins) - 1
+    limit = df * (1.0 - 2.0 / (9.0 * df) + 5.0 * math.sqrt(2.0 / (9.0 * df))) ** 3
+    assert df >= 3
+    assert stat < limit, (stat, limit, df)
+
+
+def test_sampling_puts_no_count_on_a_zero_entry():
+    # the perfect box, and product boxes with one entry of 1 per setting pair
+    boxes = [builtin_box("perfect"), builtin_box("anticorrelated")]
+    boxes += [product_box(a, b) for a in ((1.0, 0.0), (0.0, 1.0)) for b in ((0.0, 1.0), (1.0, 1.0))]
+    for i, box in enumerate(boxes):
+        for n in (1, 1000, 2**63 - 1):
+            report = sample_outcomes(box, n, seed=i)
+            for pair, probs in zip(_pairs(report.counts), _pairs(box.probs.tolist())):
+                assert sum(pair) == n
+                assert all(c == 0 for c, q in zip(pair, probs) if q == 0.0), (box.probs, pair)
+
+
+def test_sampling_places_every_draw_where_p_over_rest_rounds_above_1():
+    # 1.0 - 0.1 is 0.9, below the second entry: the ratio is above 1, and the
+    # second outcome takes every draw the first leaves
+    pair = [[0.1, math.nextafter(0.9, 1.0)], [0.0, 0.0]]
+    box = NoSignallingBox([[pair, pair], [pair, pair]])
+    assert box.probs[0, 0, 0, 1] / (1.0 - box.probs[0, 0, 0, 0]) > 1.0
+    for seed in range(20):
+        for c0, c1, c2, c3 in _pairs(sample_outcomes(box, 10_000, seed).counts):
+            assert (c0 + c1, c2, c3) == (10_000, 0, 0) and 800 < c0 < 1200
+
+
+def _pairs(table):
+    """The four outcome counts (or probabilities) of each setting pair, flat."""
+    return [[v for row in table[x][y] for v in row] for x in (0, 1) for y in (0, 1)]
+
+
 # ------------------------------------------------------------------ builtins
 
 
@@ -1071,9 +1149,8 @@ def test_sampling_matches_per_setting_loops(rng):
     for model in _all_models()[:8]:
         box = box_from_model(model, *rng.uniform(-PI, PI, 4).tolist())
         n, seed = int(rng.integers(1, 5000)), int(rng.integers(2**31))
-        counts, corr, estimate, std_error = box_oracle.sample_statistics(box.probs, n, seed)
         report = sample_outcomes(box, n, seed)
-        assert np.array_equal(np.array(report.counts), counts)
+        corr, estimate, std_error = box_oracle.sample_statistics(report.counts, n)
         assert np.array(report.correlations).tobytes() == corr.tobytes()
         assert (report.chsh_estimate, report.std_error) == (estimate, std_error)
 
@@ -1086,9 +1163,8 @@ def test_sampling_matches_per_setting_loops_at_large_n(rng, n):
     boxes += [NoSignallingBox(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2))
               for _ in range(10)]
     for box in boxes:
-        seed = int(rng.integers(2**31))
-        counts, corr, estimate, std_error = box_oracle.sample_statistics(box.probs, n, seed)
-        report = sample_outcomes(box, n, seed)
-        assert np.array_equal(np.array(report.counts, dtype=np.int64), counts)
+        report = sample_outcomes(box, n, int(rng.integers(2**31)))
+        assert [sum(pair) for pair in _pairs(report.counts)] == [n] * 4
+        corr, estimate, std_error = box_oracle.sample_statistics(report.counts, n)
         assert np.array(report.correlations).tobytes() == corr.tobytes()
         assert (report.chsh_estimate.hex(), report.std_error.hex()) == (estimate.hex(), std_error.hex())
