@@ -15,11 +15,11 @@ Every caller passes one box or one angle at a time, so boxes, models and
 their checks are plain ``math`` on floats, and each model has one E,
 ``correlation``. numpy is imported only where arrays pay: in the random
 starts and coarse sweeps of a ``maximize_chsh`` search that runs
-(``np.interp`` for a table, the pointwise default ``_corr_array`` for other
-models), and in the ndarray views ``NoSignallingBox.probs``,
-``correlations()``, ``marginals()`` and ``TableModel.thetas`` and
-``values``. ``sample_outcomes`` draws its counts from the standard
-library's ``random``.
+(``np.interp`` for a table, the pointwise default ``_corr_array`` for a
+subclass that defines only ``_corr``), and in the ndarray views
+``NoSignallingBox.probs``, ``correlations()``, ``marginals()`` and
+``TableModel.thetas`` and ``values``. ``sample_outcomes`` draws its counts
+from the standard library's ``random``.
 """
 
 from __future__ import annotations
@@ -264,16 +264,12 @@ class UnaryReport:
     tol: float
 
 
-def check_unary(original: NoSignallingBox, jammed: NoSignallingBox,
-                tol: float | None = PROB_TOL) -> UnaryReport:
-    """No single-party statistic may reveal jamming: compare all marginals.
-
-    ``tol`` None means ``PROB_TOL``: ``NONLOCALITY_TOL`` sets the geometric
-    tolerance only."""
-    tol = PROB_TOL if tol is None else _resolve_tol(tol)
+def check_unary(original: NoSignallingBox, jammed: NoSignallingBox) -> UnaryReport:
+    """No single-party statistic may reveal jamming: compare all marginals,
+    at the probability tolerance ``PROB_TOL``."""
     (pa, pb), (qa, qb) = original._marginals(), jammed._marginals()
     dev = max(map(abs, map(sub, pa + pb, qa + qb)))
-    return UnaryReport(holds=dev <= tol, max_deviation=dev, tol=tol)
+    return UnaryReport(holds=dev <= PROB_TOL, max_deviation=dev, tol=PROB_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -398,40 +394,26 @@ _BAND_LO = math.pi / 4.0  # superquantum E is +1 up to here
 _BAND_HI = 3.0 * math.pi / 4.0  # and -1 from here
 
 
-def _default_interpolant(theta: float) -> float:
-    # sin(2*theta) == cos(2*theta - pi/2): strictly decreasing on
-    # (pi/4, 3*pi/4), hits +1 and -1 at the endpoints, and is odd about
-    # theta = pi/2 so the antisymmetry E(pi - theta) = -E(theta) is exact.
-    return math.sin(2.0 * theta)
-
-
 class SuperquantumModel(CorrelationModel):
     """Maximally nonlocal no-signalling correlation family.
 
-    E(theta) = 1 up to pi/4, -1 from 3*pi/4, and a smooth strictly monotone
-    interpolant in between. The interpolant is pluggable; the default keeps
-    the antisymmetry E(pi - theta) = -E(theta) exactly. An interpolant is
-    called with one float at a time, on (pi/4, 3*pi/4) only, also by the
-    sweeps of ``maximize_chsh``; the default model is at 4 at eq2 and never
-    sweeps. Its value is read by ``TableModel``'s rule: one that is not
-    finite or lies beyond 1 + ``PROB_TOL`` raises ``ValueError`` naming
-    theta and the value; any other is returned as it is.
+    E(theta) = 1 up to pi/4, -1 from 3*pi/4, and sin(2*theta) in between. It
+    reaches CHSH = 3*E(pi/4) - E(3*pi/4) = 4 at eq2 whatever monotone bridge
+    joins the plateaus; a ``TableModel`` carries any other bridge, such as
+    the linear one through (pi/4, 1) and (3*pi/4, -1).
     """
 
     kind = "superquantum"
-
-    def __init__(self, interpolant: Callable[[float], float] | None = None):
-        self.interpolant = interpolant or _default_interpolant
 
     def _corr(self, theta: float) -> float:
         if theta <= _BAND_LO:
             return 1.0
         if theta >= _BAND_HI:
             return -1.0
-        e = self.interpolant(theta)
-        if not abs(e) <= 1.0 + PROB_TOL:  # false for nan as well
-            raise ValueError(f"interpolant value at theta={theta!r} must lie in [-1, 1], got {e!r}")
-        return e
+        # sin(2*theta) == cos(2*theta - pi/2): strictly decreasing on
+        # (pi/4, 3*pi/4), hits +1 and -1 at the endpoints, and is odd about
+        # theta = pi/2 so the antisymmetry E(pi - theta) = -E(theta) is exact.
+        return math.sin(2.0 * theta)
 
 
 class DeterministicModel(CorrelationModel):
@@ -575,10 +557,24 @@ ANGLE_PRESETS: dict[str, tuple[float, float, float, float]] = {
 }
 
 
+def _terms_at_angles(model: CorrelationModel, a, a_prime, b, b_prime) -> list[float]:
+    """E(a - b), E(a - b'), E(a' - b), E(a' - b'). Where the angles are
+    finite but a difference overflows, ``ValueError`` names its two axes."""
+    try:
+        return [model.correlation(x - y) for x in (a, a_prime) for y in (b, b_prime)]
+    except ValueError:
+        for x, xn in ((a, "a"), (a_prime, "a'")):
+            for y, yn in ((b, "b"), (b_prime, "b'")):
+                if math.isfinite(x) and math.isfinite(y) and not math.isfinite(x - y):
+                    raise ValueError(f"angle difference {xn} - {yn} = {x!r} - {y!r} is not "
+                                     f"finite: it overflows to {x - y}") from None
+        raise
+
+
 def chsh_at_angles(model: CorrelationModel, a: float, a_prime: float, b: float,
                    b_prime: float) -> ChshResult:
     """CHSH sum for measurements along four axes, via relative angles."""
-    e = [model.correlation(x - y) for x in (a, a_prime) for y in (b, b_prime)]
+    e = _terms_at_angles(model, a, a_prime, b, b_prime)
     return ChshResult(value=e[0] + e[1] + e[2] - e[3], terms=tuple(e),
                       angles=(a, a_prime, b, b_prime))
 
@@ -586,7 +582,7 @@ def chsh_at_angles(model: CorrelationModel, a: float, a_prime: float, b: float,
 def box_from_model(model: CorrelationModel, a: float, a_prime: float, b: float,
                    b_prime: float) -> NoSignallingBox:
     """Box whose setting pairs realize the model correlations at four axes."""
-    return _lift([model.correlation(x - y) for x in (a, a_prime) for y in (b, b_prime)])
+    return _lift(_terms_at_angles(model, a, a_prime, b, b_prime))
 
 
 @dataclass(frozen=True)
@@ -642,8 +638,8 @@ def maximize_chsh(model: CorrelationModel, *, extra_starts: int = 4, seed: int =
     Per-coordinate exhaustive search on a grid of step ``_COARSE_STEP`` (one
     degree), then shrinking-step coordinate descent from that step until it
     drops below ``_FINAL_STEP`` (1e-8). Runs from the known-good presets
-    plus ``extra_starts`` random starts drawn from ``seed``, so custom
-    models are not at the mercy of a single basin. Both are keyword-only.
+    plus ``extra_starts`` random starts drawn from ``seed``, so a table is
+    not at the mercy of a single basin. Both are keyword-only.
     Raises ``ValueError`` naming the argument unless ``extra_starts`` and
     ``seed`` are integers >= 0.
 
@@ -653,7 +649,7 @@ def maximize_chsh(model: CorrelationModel, *, extra_starts: int = 4, seed: int =
     ``SingletModel`` (Tsirelson's bound; Cirel'son, Lett. Math. Phys. 4, 93
     (1980)) and the algebraic bound 4 for every other model. The first value
     tested is the eq2 preset's. It is at the bound for the singlet, every
-    deterministic strategy, the default superquantum model and any table at
+    deterministic strategy, the superquantum model and any table at
     4 there, so they get eq2 after 8 evaluations, with no sweep and no
     numpy. A model that reaches 4 later gets the result of all starts run,
     bit for bit. A start's own refinement always runs to the end, because

@@ -1047,6 +1047,33 @@ def test_closed_output_pipe_keeps_the_exit_code(tmp_path, args, code, fmt):
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
+# Seven mutually spacelike events in d = 3 (|x_i| <= 20, |t| <= 0.3): their
+# boost --orderings report is larger than a 64 KiB pipe buffer in either format.
+_SPACELIKE_7 = [[-14.6, 13.9, 10.6, -0.15], [-0.2, -2.0, 6.1, 0.17], [-16.2, -18.9, 13.4, -0.04],
+                [10.5, -19.9, -2.2, 0.13], [-10.8, 17.8, 16.1, -0.28], [-19.0, 1.7, 17.6, -0.07],
+                [-11.3, -3.1, -18.8, -0.17]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_output_pipe_closed_mid_stream_keeps_the_exit_code(tmp_path, capsys, fmt):
+    # the reader takes 100 bytes and closes, as "| head -c 100" does, so the
+    # write fails partway through the report
+    events = write_json(tmp_path / "events.json", _SPACELIKE_7)
+    args = ["boost", "--events", events, "--orderings", "--format", fmt]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and len(out.encode()) > 2**16 + 2**12
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nonlocality.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+    assert head == out.encode()[:100]
+
+
 @pytest.mark.parametrize("payload", [5, [], ["P"]])
 def test_box_that_is_not_an_object_is_input_error(tmp_path, capsys, payload):
     path = write_json(tmp_path / "box.json", payload)
@@ -1079,6 +1106,18 @@ def test_bad_angles_is_input_error(capsys):
     code, out, err = run_any(capsys, "chsh", "--model", "singlet", "--angles", "1,2")
     assert code == 2 and out == ""
     assert "argument --angles: expected a preset" in err and "got '1,2'" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("chsh", "--model", "singlet"),
+    ("sample", "--model", "superquantum", "--n", "10", "--seed", "1"),
+])
+def test_angles_whose_difference_overflows_are_input_error(capsys, args):
+    # all four angles are finite, but a - b' is inf: this used to read
+    # "angle must be finite, got inf"
+    code, out, err = run_any(capsys, *args, "--angles", "1e308,0,0,-1e308")
+    assert (code, out) == (2, "")
+    assert err == "error: angle difference a - b' = 1e+308 - -1e+308 is not finite: it overflows to inf\n"
 
 
 # Values for the fuzz test: dash-leading numbers, nan/inf, out-of-range and

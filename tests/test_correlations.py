@@ -99,31 +99,23 @@ def test_superquantum_monotone_nonincreasing():
 
 
 def test_superquantum_custom_interpolant():
-    # linear bridge also satisfies the endpoint constraints
-    lin = SuperquantumModel(interpolant=lambda t: (PI / 2 - t) / (PI / 4))
-    assert lin.correlation(PI / 4) == 1.0
-    assert lin.correlation(PI / 2) == pytest.approx(0.0, abs=1e-12)
-    assert lin.correlation(3 * PI / 4) == -1.0
-    assert chsh_at_angles(lin, *ANGLE_PRESETS["eq2"]).value == pytest.approx(4.0, abs=1e-12)
+    # a bridge between the plateaus other than sin(2*theta), such as the
+    # paper's linear one, is a table, also loaded from JSON
+    thetas, values = [0.0, PI / 4, 3 * PI / 4, PI], [1.0, 1.0, -1.0, -1.0]
+    table = TableModel(thetas, values)
+    loaded = model_from_json({"kind": "table", "thetas": thetas, "values": values})
+    for lin in (table, loaded):
+        assert lin.correlation(PI / 4) == 1.0
+        assert lin.correlation(PI / 2) == pytest.approx(0.0, abs=1e-12)
+        assert lin.correlation(3 * PI / 4) == -1.0
+        assert chsh_at_angles(lin, *ANGLE_PRESETS["eq2"]).value == pytest.approx(4.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5, -1.0 - 2e-12])
-def test_superquantum_rejects_interpolant_values_beyond_the_unit_interval(value):
-    # nan and 1.5 used to pass through: the 1.5 model read CHSH 5 at these
-    # angles, while its search stopped at the algebraic bound 4 and called
-    # that certified
-    model = SuperquantumModel(interpolant=lambda t: value)
-    with pytest.raises(ValueError, match=r"^interpolant value at theta=1\.0 must lie in \[-1, 1\], got "):
-        model.correlation(1.0)
-    assert model.correlation(0.5) == 1.0 and model.correlation(2.5) == -1.0  # the plateaus
-    with pytest.raises(ValueError, match="interpolant value at theta="):
-        chsh_at_angles(model, 1.0, -0.5, 0.0, 2.5)
-
-
-def test_superquantum_returns_interpolant_values_within_the_tolerance_as_they_are():
-    for value in (1.0 + 0.5e-12, -1.0 - 1e-12, 0.25, -0.0):
-        got = SuperquantumModel(interpolant=lambda t: value).correlation(1.0)
-        assert got.hex() == value.hex()
+def test_superquantum_model_takes_no_interpolant():
+    with pytest.raises(TypeError):
+        SuperquantumModel(interpolant=lambda t: (PI / 2 - t) / (PI / 4))
+    with pytest.raises(TypeError):
+        SuperquantumModel(math.sin)
 
 
 def test_deterministic_model_constant():
@@ -219,12 +211,28 @@ def _all_models():
     return [
         SingletModel(),
         SuperquantumModel(),
-        SuperquantumModel(interpolant=lambda t: (PI / 2 - t) / (PI / 4)),
-        SuperquantumModel(interpolant=lambda t: math.sin(2 * t)),
         TableModel([0.0, PI / 4, 3 * PI / 4, PI], [1.0, 1.0, -1.0, -1.0]),
         TableModel([0.3, 1.2, 2.0], [-0.5, 0.1, 0.8]),
         _PointwiseModel(),
     ] + [DeterministicModel(sid) for sid in range(16)]
+
+
+@pytest.mark.parametrize("angles,message", [
+    ((1e308, 0.0, 0.0, -1e308), "a - b' = 1e+308 - -1e+308 is not finite: it overflows to inf"),
+    ((0.0, -1e308, 1e308, 0.0), "a' - b = -1e+308 - 1e+308 is not finite: it overflows to -inf"),
+    ((-1.7e308, 0.0, 1.7e308, 0.0), "a - b = -1.7e+308 - 1.7e+308 is not finite: it overflows to -inf"),
+], ids=["a-b'", "a'-b", "a-b"])
+def test_angle_difference_that_overflows_names_its_axes(angles, message):
+    # every angle is finite, but one difference is not; this used to read
+    # "angle must be finite, got inf"
+    for model in (SingletModel(), SuperquantumModel(), DeterministicModel(5)):
+        for fn in (chsh_at_angles, box_from_model):
+            with pytest.raises(ValueError) as exc:
+                fn(model, *angles)
+            assert str(exc.value) == f"angle difference {message}"
+    # an angle that is itself not finite keeps its message
+    with pytest.raises(ValueError, match="^angle must be finite, got inf$"):
+        chsh_at_angles(SingletModel(), math.inf, 0.0, 0.0, -1e308)
 
 
 def test_corr_array_equals_scalar_exactly():
@@ -234,7 +242,7 @@ def test_corr_array_equals_scalar_exactly():
                -2 * PI, 13.0, -13.0, 4 * PI + 0.5, -(4 * PI + 0.5), 1e3, -1e3]
     thetas = np.linspace(-5 * PI, 5 * PI, 4001).tolist() + special
     folded = np.array([reduce_angle(t) for t in thetas])
-    for model in _all_models()[2:7]:  # the custom interpolants, the tables and _PointwiseModel
+    for model in _all_models()[1:5]:  # the superquantum model, the tables and _PointwiseModel
         got = model._corr_array(folded)
         want = np.array([model.correlation(t) for t in thetas])
         assert got.shape == folded.shape
@@ -508,8 +516,16 @@ def test_box_checks_read_none_as_the_probability_tolerance(monkeypatch):
     for tol in (None, PROB_TOL):
         report = check_no_signalling(box, tol=tol)
         assert (report.passed, report.tol) == (False, PROB_TOL)
-        assert check_unary(box, apply_jamming(box, 0.5), tol=tol).tol == PROB_TOL
+    assert check_unary(box, apply_jamming(box, 0.5)).tol == PROB_TOL
     assert check_no_signalling(box, tol=0.5).passed
+
+
+def test_check_unary_takes_no_tolerance():
+    box = builtin_box("singlet-optimal")
+    with pytest.raises(TypeError):
+        check_unary(box, apply_jamming(box), tol=0.5)
+    with pytest.raises(TypeError):
+        check_unary(box, apply_jamming(box), None)
 
 
 def test_enumerate_deterministic_bound():
@@ -641,10 +657,8 @@ def test_maximize_matches_golden_optima_bit_for_bit(name, seed):
 
 
 def test_maximize_float_only_interpolant():
-    # a custom interpolant is called with one float at a time, so one that
-    # accepts no array still works, and this one gives the default's optimum
-    opt = maximize_chsh(SuperquantumModel(interpolant=lambda t: math.sin(2 * t)), seed=3)
-    assert (opt.angles, opt.value) == _GOLDEN_OPTIMA["superquantum", 3]
+    # a model that defines only the scalar _corr is swept point by point,
+    # one float at a time; this one has the singlet's E and finds its maximum
     assert maximize_chsh(_PointwiseModel()).value == maximize_chsh(SingletModel()).value
 
 
@@ -1146,7 +1160,7 @@ def test_box_constructors_match_per_setting_loops(rng):
 
 
 def test_sampling_matches_per_setting_loops(rng):
-    for model in _all_models()[:8]:
+    for model in _all_models()[:6]:
         box = box_from_model(model, *rng.uniform(-PI, PI, 4).tolist())
         n, seed = int(rng.integers(1, 5000)), int(rng.integers(2**31))
         report = sample_outcomes(box, n, seed)

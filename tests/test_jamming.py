@@ -577,7 +577,6 @@ def _tol_calls():
         "influence_edges": lambda tol: influence_edges(scenario, tol=tol),
         "detect_causal_loops": lambda tol: detect_causal_loops(scenario, tol=tol),
         "check_no_signalling": lambda tol: check_no_signalling(box, tol=tol),
-        "check_unary": lambda tol: check_unary(box, apply_jamming(box), tol=tol),
     }
 
 
