@@ -72,7 +72,6 @@ _EXPORTS = {
         "IntervalClass",
         "achievable_orderings",
         "boost",
-        "default_tol",
         "interval",
     ),
 }

@@ -47,8 +47,10 @@ from . import spacetime as st
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
+    """``--position``, ``--v`` and ``--angles``: numbers between commas; an
+    empty item, as in ``0.3,,0.4`` or ``0.5,``, is refused."""
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
+        return tuple(map(float, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}"
@@ -337,6 +339,8 @@ def _cmd_jam(args):
                 f"d*n must be at most {_MAX_COUNT}"
             )
         position = (0.0,) * d if args.position is None else args.position
+        if len(position) != d:
+            raise ValueError(f"position has dimension {len(position)}, expected {d}")
         a = st.Event((-1.0,) + (0.0,) * (d - 1), 0.0)
         b = st.Event((+1.0,) + (0.0,) * (d - 1), 0.0)
         rows = []
@@ -367,7 +371,7 @@ def _cmd_jam(args):
 
 def _cmd_boost(args):
     events = _load_json(args.events, _read_events)
-    params = {"events": args.events, "tol": st.default_tol()}
+    params = {"events": args.events, "tol": st.GEOMETRIC_TOL}
     if args.orderings:
         found = st.achievable_orderings(events)
         orderings = [

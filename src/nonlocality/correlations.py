@@ -220,8 +220,7 @@ class NoSignallingReport:
 def check_no_signalling(box: NoSignallingBox, tol: float | None = PROB_TOL) -> NoSignallingReport:
     """Largest dependence of one party's marginals on the other's setting.
 
-    ``tol`` None means ``PROB_TOL``: ``NONLOCALITY_TOL`` sets the geometric
-    tolerance only."""
+    ``tol`` None means ``PROB_TOL``, not the geometric ``GEOMETRIC_TOL``."""
     tol = PROB_TOL if tol is None else _resolve_tol(tol)
     pa, pb = box._marginals()
     # Alice's marginal at (x, 0) against (x, 1); Bob's at (0, y) against (1, y)

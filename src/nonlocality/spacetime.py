@@ -4,8 +4,8 @@ Events are points (x_1 .. x_d, t). Light cones are closed sets, and all
 classifications use a symmetric tolerance band so that points numerically
 on a cone surface are reported as boundary rather than flipping sides.
 Every ``tol`` argument must be a finite number > 0; None means the default
-geometric tolerance, 1e-9, or the value of the ``NONLOCALITY_TOL``
-environment variable, which obeys the same rule.
+geometric tolerance, ``GEOMETRIC_TOL`` = 1e-9. No result reads the
+environment: each depends on its arguments alone.
 
 Each call takes single events, so the module is plain ``math`` on
 coordinate tuples and imports no numpy.
@@ -17,11 +17,9 @@ import itertools
 import math
 import numbers
 import operator
-import os
 from dataclasses import dataclass
 
 GEOMETRIC_TOL = 1e-9
-TOL_ENV_VAR = "NONLOCALITY_TOL"
 
 TIMELIKE = "timelike"
 SPACELIKE = "spacelike"
@@ -29,15 +27,15 @@ NULL = "null"
 
 
 def _resolve_tol(tol=None, name: str = "tol") -> float:
-    """``tol`` as a float, or ``default_tol()`` when it is None.
+    """``tol`` as a float, or ``GEOMETRIC_TOL`` when it is None.
 
     Raises ``ValueError`` naming ``name`` unless the value is a finite
     number > 0; a string is parsed first. This is the package's one rule
-    for tolerances: every library ``tol`` argument, ``NONLOCALITY_TOL`` and
-    the CLI's ``--tol`` go through it.
+    for tolerances: every library ``tol`` argument and the CLI's ``--tol``
+    go through it.
     """
     if tol is None:
-        return default_tol()
+        return GEOMETRIC_TOL
     try:
         value = float(tol)
     except (TypeError, ValueError):
@@ -45,13 +43,6 @@ def _resolve_tol(tol=None, name: str = "tol") -> float:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
     return value
-
-
-def default_tol() -> float:
-    """Geometric tolerance: ``GEOMETRIC_TOL``, or the value of the
-    NONLOCALITY_TOL env var, which must be a finite number > 0."""
-    text = os.environ.get(TOL_ENV_VAR)
-    return GEOMETRIC_TOL if text is None else _resolve_tol(text, TOL_ENV_VAR)
 
 
 def _real(value) -> float | None:
@@ -404,21 +395,23 @@ def _pair_error(i: int, k: int, s2: float, tol: float) -> ValueError:
     )
 
 
-def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
+def achievable_orderings(
+    events: list[Event], tol: float | None = None
+) -> dict[tuple[int, ...], Boost]:
     """Every strict time order of mutually spacelike events that a boost
     realises, each with a witness boost.
 
     A boost with velocity v gives t' = gamma (t - v.x) with gamma > 0, so the
     order pi (earliest first) is reachable iff some |v| < 1 satisfies
     v.(x_{pi(k+1)} - x_{pi(k)}) < t_{pi(k+1)} - t_{pi(k)} for every k. The
-    test is exact up to tol = ``default_tol()``: each half-space is shrunk by
-    tol*|dx|, and the order is kept iff the minimum-norm point of the shrunk,
-    closed half-spaces has norm < 1 - tol. That point is the witness, so each
-    of its boosted time steps is at least tol*|dx|, less 1e-12*|dx| of
-    rounding; tol must exceed that allowance, or a witness could leave two
-    events simultaneous. Both paths below test that norm as ``Boost.speed``
-    computes it, so each witness is built without running ``Boost``'s
-    checks again; it equals ``Boost(witness.v)``.
+    test is exact up to ``tol`` (None means ``GEOMETRIC_TOL``): each
+    half-space is shrunk by tol*|dx|, and the order is kept iff the
+    minimum-norm point of the shrunk, closed half-spaces has norm < 1 - tol.
+    That point is the witness, so each of its boosted time steps is at least
+    tol*|dx|, less 1e-12*|dx| of rounding; tol must exceed that allowance,
+    or a witness could leave two events simultaneous. Both paths below test
+    that norm as ``Boost.speed`` computes it, so each witness is built
+    without running ``Boost``'s checks again; it equals ``Boost(witness.v)``.
 
     In d >= 2, orders are built by depth-first search over prefixes: each
     added event adds one half-space, and a prefix whose half-spaces miss the
@@ -451,9 +444,9 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
 
     Returns a map from index permutation to witness boost, in lexicographic
     order of the permutations. Raises ``ValueError`` for fewer than 2 or
-    more than ``MAX_ORDERING_EVENTS`` events, for tol <= 1e-12, for a pair
-    that is not spacelike, or for a pair whose |dx|^2 or s^2 overflows (|dx|
-    or |dt| above about 1.3e154).
+    more than ``MAX_ORDERING_EVENTS`` events, for a tol that is not a finite
+    number > 1e-12, for a pair that is not spacelike, or for a pair whose
+    |dx|^2 or s^2 overflows (|dx| or |dt| above about 1.3e154).
     """
     n = len(events)
     if n < 2:
@@ -464,11 +457,11 @@ def achievable_orderings(events: list[Event]) -> dict[tuple[int, ...], Boost]:
             "the number of orders grows as n!"
         )
     d = _require_same_dimension(*events)
-    tol = default_tol()
+    tol = _resolve_tol(tol)
     if tol <= 1e-12:
         raise ValueError(
             f"orderings need tol > 1e-12, the rounding allowance of their test, or an "
-            f"order may leave two events simultaneous; got tol = {tol!r} from {TOL_ENV_VAR}"
+            f"order may leave two events simultaneous; got tol = {tol!r}"
         )
     if d == 1:
         return _orderings_1d(events, tol)

@@ -12,11 +12,11 @@ import itertools
 import math
 
 from nonlocality.spacetime import (
+    GEOMETRIC_TOL,
     MAX_ORDERING_EVENTS,
     SPACELIKE,
     Boost,
     _require_same_dimension,
-    default_tol,
     interval,
 )
 
@@ -65,7 +65,7 @@ def _min_norm_point(rows, d: int):
     return None
 
 
-def achievable_orderings(events):
+def achievable_orderings(events, tol=None):
     n = len(events)
     if n < 2:
         raise ValueError("need at least two events")
@@ -75,7 +75,7 @@ def achievable_orderings(events):
             "the number of orders grows as n!"
         )
     d = _require_same_dimension(*events)
-    tol = default_tol()
+    tol = GEOMETRIC_TOL if tol is None else tol
     for i in range(n):
         for k in range(i + 1, n):
             iv = interval(events[i], events[k], tol=tol)

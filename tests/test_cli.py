@@ -462,8 +462,7 @@ def test_jam_box_with_geometric_tol_is_input_error(capsys, source):
 @pytest.mark.parametrize("args", [["nosig", "--builtin", "singlet-optimal"],
                                   ["jam", "--builtin", "superquantum-eq2", "--strength", "0.5"]])
 def test_box_reports_ignore_the_geometric_tolerance_env(monkeypatch, capsys, args):
-    # jam echoed the geometric tolerance (1e-9, or NONLOCALITY_TOL) that its
-    # unary check never read
+    # jam echoed the geometric tolerance, 1e-9, that its unary check never read
     expected = run_cli(capsys, *args, "--format", "json")
     monkeypatch.setenv("NONLOCALITY_TOL", "0.5")
     assert run_cli(capsys, *args, "--format", "json") == expected
@@ -480,6 +479,34 @@ def test_jam_sweep_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "j_t,valid,margin,holds"
     assert len(lines) == 14
+
+
+@pytest.mark.parametrize("args,option,value", [
+    (("jam", "--latest", "--d", "2"), "--position", "0.3,,0.4"),
+    (("jam", "--sweep", "--csv", "sweep.csv"), "--position", "0.3,"),
+    (("boost", "--events", "events.json"), "--v", "0.5,"),
+    (("chsh", "--model", "singlet"), "--angles", ",0,0.7,0.4,1.2"),
+    (("sample", "--model", "singlet", "--n", "10", "--seed", "1"), "--angles", "0,0.7,,0.4,1.2"),
+])
+def test_empty_item_in_a_number_list_is_input_error(tmp_path, monkeypatch, capsys, args, option,
+                                                    value):
+    # an empty item was dropped: --position 0.3,,0.4 ran at (0.3, 0.4) and
+    # --v 0.5, at (0.5,), both with exit 0
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "events.json", [[0.0, 0.0], [1.0, 0.5]])
+    code, out, err = run_any(capsys, *args, option, value)
+    assert (code, out) == (2, "")
+    assert f"argument {option}: expected comma-separated numbers, got {value!r}" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("mode", [("--latest",), ("--sweep", "--csv", "sweep.csv")])
+def test_jam_position_of_another_dimension_is_input_error(tmp_path, monkeypatch, capsys, mode):
+    # --sweep's error named no option: "events have mismatched dimensions: [1, 2]"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "jam", *mode, "--d", "2", "--position", "0.3")
+    assert (code, out, err) == (2, "", "error: position has dimension 1, expected 2\n")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_jam_latest_position_starting_with_dash(capsys):
@@ -880,23 +907,18 @@ def test_boost_orderings_overflow_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err and out == ""
 
 
-def test_boost_orderings_tol_within_rounding_allowance_is_input_error(tmp_path, monkeypatch, capsys):
-    # both orders of two simultaneous events used to come back, each with v = 0
-    monkeypatch.setenv("NONLOCALITY_TOL", "1e-15")
-    path = write_json(tmp_path / "events.json", [[0.0, 0.0], [1.0, 0.0]])
-    code, out, err = run_cli(capsys, "boost", "--events", path, "--orderings")
-    assert code == 2
-    assert "tol > 1e-12" in err and "NONLOCALITY_TOL" in err
-    assert "Traceback" not in err and out == ""
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "0", "abc"])
-def test_bad_tolerance_env_is_input_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("NONLOCALITY_TOL", value)
-    code, out, err = run_cli(capsys, "jam", "--latest", "--d", "2")
-    assert code == 2
-    assert "NONLOCALITY_TOL" in err
-    assert not out
+@pytest.mark.parametrize("env", ["0.5", "abc"])
+def test_reports_do_not_read_the_tolerance_env(tmp_path, monkeypatch, capsys, env):
+    # NONLOCALITY_TOL used to set the tolerance of jam and boost --orderings
+    # (0.5 here: another verdict, no orders) or fail them with exit 2 (abc)
+    config = write_json(tmp_path / "cfg.json", {"a": [-1.0, 0.0], "b": [1.0, 0.0], "j": [0.0, 0.8]})
+    events = write_json(tmp_path / "events.json", [[0.0, 0.0], [2.0, 0.3], [5.0, -0.2]])
+    calls = [("jam", "--latest", "--d", "2"), ("jam", "--config", config),
+             ("boost", "--events", events, "--orderings")]
+    expected = [run_cli(capsys, *args, "--format", "json") for args in calls]
+    assert [json.loads(out)["params"]["tol"] for _, out, _ in expected] == [1e-9] * 3
+    monkeypatch.setenv("NONLOCALITY_TOL", env)
+    assert [run_cli(capsys, *args, "--format", "json") for args in calls] == expected
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9", "abc"])

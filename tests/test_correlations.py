@@ -507,9 +507,8 @@ def test_apply_jamming_reads_strength_as_a_json_number(strength):
         apply_jamming(builtin_box("singlet-optimal"), strength)
 
 
-def test_box_checks_read_none_as_the_probability_tolerance(monkeypatch):
-    # None gave the geometric default or NONLOCALITY_TOL: tol 0.5 here
-    monkeypatch.setenv("NONLOCALITY_TOL", "0.5")
+def test_box_checks_read_none_as_the_probability_tolerance():
+    # None gave the geometric default, 1e-9
     probs = np.full((2, 2, 2, 2), 0.25)
     probs[0, 0] = [[0.45, 0.45], [0.05, 0.05]]
     box = NoSignallingBox(probs)

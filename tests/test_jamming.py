@@ -25,7 +25,7 @@ from nonlocality import (
     validate_configuration,
 )
 from nonlocality import jamming
-from nonlocality.spacetime import NULL, SPACELIKE, TOL_ENV_VAR, cone_slack
+from nonlocality.spacetime import NULL, SPACELIKE, cone_slack
 
 from conftest import (
     apex_check_1d,
@@ -570,6 +570,7 @@ def _tol_calls():
     scenario = JamScenario((cfg,))
     box = builtin_box("superquantum-eq2")
     return {
+        "achievable_orderings": lambda tol: achievable_orderings([a, b, cfg.j], tol=tol),
         "interval": lambda tol: interval(a, b, tol=tol),
         "validate_configuration": lambda tol: validate_configuration(cfg, tol=tol),
         "binary_condition": lambda tol: binary_condition(cfg, tol=tol),
@@ -589,6 +590,33 @@ def test_tolerance_must_be_finite_and_positive(call, value):
     fn(1e-9)
     with pytest.raises(ValueError, match="tol must be a finite number > 0"):
         fn(value)
+
+
+def _band_sensitive_calls():
+    """Calls whose outcome at tol 0.5 differs from the one at the default
+    1e-9: j is spacelike to a and b, but inside a 0.5 band of null."""
+    cfg = cfg_1d(0.0, 0.8)
+    events = [Event((0.0,), 0.0), Event((2.0,), 0.3), Event((5.0,), -0.2)]
+    return {
+        "validate_configuration": lambda **kw: validate_configuration(cfg, **kw),
+        "binary_condition": lambda **kw: binary_condition(cfg, **kw),
+        "latest_jammer_time": lambda **kw: latest_jammer_time(2, (0.3, 0.4), **kw),
+        "detect_causal_loops": lambda **kw: detect_causal_loops(JamScenario((cfg,)), **kw),
+        "achievable_orderings": lambda **kw: tuple(achievable_orderings(events, **kw).items()),
+    }
+
+
+@pytest.mark.parametrize("env", ["0.5", "abc"])
+def test_defaulted_calls_do_not_read_the_environment(monkeypatch, env):
+    # NONLOCALITY_TOL used to set the band of every call without a tol (0.5
+    # here) or make each raise (abc); None now always means 1e-9
+    calls = _band_sensitive_calls()
+    expected = {name: _outcome(fn) for name, fn in calls.items()}
+    monkeypatch.setenv("NONLOCALITY_TOL", env)
+    assert {name: _outcome(fn) for name, fn in calls.items()} == expected
+    # each call tells the two bands apart, and None is the default
+    assert all(expected[name] != _outcome(fn, tol=0.5) for name, fn in calls.items())
+    assert expected == {name: _outcome(fn, tol=1e-9) for name, fn in calls.items()}
 
 
 # ------------------------------------------------- one-pass verdicts, oracle
@@ -661,29 +689,26 @@ def _oracle_positions(rng, d, band):
     return [tuple(map(float, p)) for p in out]
 
 
-# (NONLOCALITY_TOL, tol argument, width of the near-null band)
+# (tol argument, width of the near-null band)
 _ORACLE_SETTINGS = [
-    (None, None, 1e-9), (None, 1e-12, 1e-12), (None, 1e-3, 1e-3), (None, 0.0, 1e-9),
-    ("1e-3", None, 1e-3), ("2.5e-7", None, 2.5e-7), ("1e-3", 1e-9, 1e-9), ("nan", None, 1e-9),
+    (None, 1e-9), (1e-12, 1e-12), (1e-3, 1e-3), (0.0, 1e-9),
+    (1e-3, 1e-3), (2.5e-7, 2.5e-7), (1e-9, 1e-9), (math.nan, 1e-9),
 ]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_one_pass_verdicts_match_oracle(monkeypatch, d):
+def test_one_pass_verdicts_match_oracle(d):
     rng = np.random.default_rng(1300 + d)
     seen = set()
-    for env, tol, band in _ORACLE_SETTINGS:
+    for tol, band in _ORACLE_SETTINGS:
         # the generators validate under the default tolerance
-        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
         triples = _oracle_triples(rng, d, band)
         positions = _oracle_positions(rng, d, band)
-        if env is not None:
-            monkeypatch.setenv(TOL_ENV_VAR, env)
         for cfg in triples:
             for name in ("validate_configuration", "binary_condition"):
                 got = _outcome(getattr(jamming, name), cfg, tol=tol)
                 want = _outcome(getattr(verdict_oracle, name), cfg, tol=tol)
-                assert got == want, (name, cfg, env, tol)
+                assert got == want, (name, cfg, tol)
                 fields = dict(got[1][1]) if got[0] == "ok" else {}
                 seen.add((name, got[0], fields.get("holds", fields.get("on_boundary"))))
         for _ in range(40):

@@ -16,15 +16,14 @@ from nonlocality import (
     Event,
     achievable_orderings,
     boost,
-    default_tol,
     interval,
 )
 from nonlocality.spacetime import (
+    GEOMETRIC_TOL,
     MAX_ORDERING_EVENTS,
     NULL,
     SPACELIKE,
     TIMELIKE,
-    TOL_ENV_VAR,
     _dot,
     _face_point,
     _pair_point,
@@ -233,7 +232,7 @@ def test_cone_covariance_under_boosts(rng):
         dt = rng.uniform(0.5, 3.0)
         radius = rng.uniform(0.0, 0.9) * dt
         e = Event(tuple(np.asarray(apex.x) + radius * direction), apex.t + dt)
-        tol = default_tol()
+        tol = GEOMETRIC_TOL
         assert cone_slack(e, apex) > tol
         bst = random_boost(rng, d, max_speed=0.9)
         assert cone_slack(boost(e, bst), boost(apex, bst)) >= -tol
@@ -304,7 +303,7 @@ def test_canonicalize_maps_cones_to_cones(rng):
         direction /= max(np.linalg.norm(direction), 1e-12)
         dt = rng.uniform(0.1, 2.0)
         e = Event(tuple(np.asarray(a.x) + rng.uniform(0.0, 0.9) * dt * direction), a.t + dt)
-        tol = default_tol()
+        tol = GEOMETRIC_TOL
         assert cone_slack(e, a) > tol
         assert cone_slack(fm.apply(e), a2) >= -tol
 
@@ -408,10 +407,9 @@ def _velocity_interval_1d(events, order):
     return lo, hi
 
 
-def _assert_witnesses(events, found):
+def _assert_witnesses(events, found, tol=GEOMETRIC_TOL):
     """Each witness is subluminal and realises its order with every boosted
     time step at least tol*|dx|, less the 1e-12*|dx| rounding allowance."""
-    tol = default_tol()
     for order, bst in found.items():
         assert bst.speed < 1.0
         for i, k in zip(order, order[1:]):
@@ -456,18 +454,16 @@ def test_orderings_reject_too_many_events():
 
 
 @pytest.mark.parametrize("value", ["1e-15", "1e-12"])
-def test_orderings_reject_a_tol_within_the_rounding_allowance(monkeypatch, value):
+def test_orderings_reject_a_tol_within_the_rounding_allowance(value):
     # each boosted step is only kept above (tol - 1e-12)*|dx|: at tol 1e-15
     # both orders of two simultaneous events came back with witness v = 0
-    monkeypatch.setenv(TOL_ENV_VAR, value)
     for d in (1, 2):
         events = [Event((0.0,) * d, 0.0), Event((1.0,) + (0.0,) * (d - 1), 0.0)]
-        with pytest.raises(ValueError, match=rf"tol > 1e-12.* tol = {value} from {TOL_ENV_VAR}"):
-            achievable_orderings(events)
-    monkeypatch.setenv(TOL_ENV_VAR, "2e-12")
-    found = achievable_orderings(events)
+        with pytest.raises(ValueError, match=rf"tol > 1e-12.* tol = {value}$"):
+            achievable_orderings(events, tol=float(value))
+    found = achievable_orderings(events, tol=2e-12)
     assert set(found) == {(0, 1), (1, 0)}
-    _assert_witnesses(events, found)
+    _assert_witnesses(events, found, tol=2e-12)
 
 
 def _oracle_event_sets(rng):
@@ -533,11 +529,11 @@ def _oracle_event_sets(rng):
         yield [Event((2.5 * i,), t + 1e-9 * (i == 4)) for i, t in enumerate(times)]
 
 
-def _outcome(search, events):
+def _outcome(search, events, tol=None):
     """The orders in the order returned, with witness velocities as hex
     strings, or the ValueError text."""
     try:
-        found = search(events)
+        found = search(events, tol=tol)
     except ValueError as exc:
         return str(exc)
     return [(order, [c.hex() for c in bst.v]) for order, bst in found.items()]
@@ -553,13 +549,13 @@ def test_orderings_match_oracle_bit_for_bit():
     assert kinds == {list, str}
 
 
-def test_orderings_match_oracle_when_tol_leaves_no_ball(monkeypatch):
+def test_orderings_match_oracle_when_tol_leaves_no_ball():
     # tol = 1 leaves no velocity inside |v| < 1 - tol, not even v = 0, which
     # satisfies the half-space of this nearly null pair (1e-12 of rounding)
-    monkeypatch.setenv(TOL_ENV_VAR, "1")
     events = [Event((0.0,), 0.0), Event((1e7,), 1e7 - 2e-7)]
-    assert interval(*events).kind == SPACELIKE
-    assert achievable_orderings(events) == ordering_oracle.achievable_orderings(events) == {}
+    assert interval(*events, tol=1.0).kind == SPACELIKE
+    assert (achievable_orderings(events, tol=1.0)
+            == ordering_oracle.achievable_orderings(events, tol=1.0) == {})
 
 
 def test_orderings_keep_no_state_between_calls():
@@ -577,28 +573,24 @@ def test_orderings_keep_no_state_between_calls():
     assert _outcome(achievable_orderings, a) == first
 
 
-def test_orderings_match_oracle_under_a_wider_tol(monkeypatch):
+def test_orderings_match_oracle_under_a_wider_tol():
     # a second shrink of every half-space, and another set of pruned prefixes
-    monkeypatch.setenv(TOL_ENV_VAR, "1e-6")
     kinds = set()
     for events in _oracle_event_sets(np.random.default_rng(711)):
-        got = _outcome(achievable_orderings, events)
-        assert got == _outcome(ordering_oracle.achievable_orderings, events)
+        got = _outcome(achievable_orderings, events, tol=1e-6)
+        assert got == _outcome(ordering_oracle.achievable_orderings, events, tol=1e-6)
         kinds.add(type(got))
     assert kinds == {list, str}
 
 
-@pytest.mark.parametrize("env", [None, "1e-6"])
-def test_orderings_witnesses_equal_validated_boosts(monkeypatch, env):
+@pytest.mark.parametrize("tol", [None, pytest.param(1e-6, id="1e-6")])
+def test_orderings_witnesses_equal_validated_boosts(tol):
     # witnesses skip Boost's checks, so each must be the Boost those checks
     # would have built: a tuple of floats below the speed the search tested
-    if env is not None:
-        monkeypatch.setenv(TOL_ENV_VAR, env)
-    tol = default_tol()
     dims = set()
     for events in _oracle_event_sets(np.random.default_rng(711)):
         try:
-            found = achievable_orderings(events)
+            found = achievable_orderings(events, tol=tol)
         except ValueError:
             continue
         for w in found.values():
@@ -606,7 +598,7 @@ def test_orderings_witnesses_equal_validated_boosts(monkeypatch, env):
             assert type(w) is Boost and type(w.v) is tuple
             assert all(type(c) is float for c in w.v)
             assert w == rebuilt and hash(w) == hash(rebuilt)
-            assert w.speed < 1.0 - tol
+            assert w.speed < 1.0 - (GEOMETRIC_TOL if tol is None else tol)
             dims.add(w.d)
     assert dims == {1, 2, 3, 4}
 
@@ -711,18 +703,3 @@ def test_event_and_boost_take_ints_and_numpy_numbers():
     with pytest.raises(ValueError, match=re.escape("numbers, got ('0.1',)")):
         Boost(("0.1",))
 
-
-def test_default_tol_env_override(monkeypatch):
-    monkeypatch.setenv("NONLOCALITY_TOL", "1e-6")
-    assert default_tol() == 1e-6
-    monkeypatch.delenv("NONLOCALITY_TOL")
-    assert default_tol() == 1e-9
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "0", "abc"])
-def test_default_tol_rejects_bad_env_value(monkeypatch, value):
-    monkeypatch.setenv(TOL_ENV_VAR, value)
-    with pytest.raises(ValueError, match=TOL_ENV_VAR):
-        default_tol()
-    with pytest.raises(ValueError, match=TOL_ENV_VAR):
-        interval(Event((0.0,), 0.0), Event((1.0,), 0.0))
