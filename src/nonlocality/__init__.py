@@ -9,14 +9,14 @@ check those conditions in any spatial dimension.
 
 Exports resolve lazily (PEP 562): ``import nonlocality`` loads no
 submodule, and a name loads its submodule on first access. No module
-imports numpy when it loads: only the array code in ``correlations``
-imports it when called. That is the ndarray views of a box or a table, and
-a ``maximize_chsh`` search that runs: its random starts and its coarse
-sweeps, by ``np.interp`` for a table and point by point for any other
-model. The geometry, the jamming decisions, the box checks, sampling,
-every model's E and a search certified at its model's CHSH bound (the
-singlet, the deterministic strategies, the superquantum model) run
-without it.
+imports numpy when it loads: only ``correlations`` imports it when called,
+for the ndarray views of a box or a table and for the random starts of a
+``maximize_chsh`` search that reaches them. The geometry, the jamming
+decisions, the box checks, sampling, every model's E and a search that
+ends within its preset starts run without it: one certified at its
+model's CHSH bound (the singlet, the deterministic strategies, the
+superquantum model), and any search with ``extra_starts=0``, whose coarse
+sweeps and refinement are plain floats.
 """
 
 import importlib

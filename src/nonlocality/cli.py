@@ -22,10 +22,11 @@ that a library check rejects fails as ``error: ...`` on stderr, also exit 2.
 
 Only the subcommands that work on boxes or correlation models import
 ``correlations``: ``chsh``, ``nosig``, ``sample`` and ``jam --box/--builtin``.
-Of those, only ``chsh --optimize`` on a table below its CHSH bound at the
-eq2 preset imports numpy. The singlet, ``classical:ID`` and superquantum
-models reach their bound there, so their ``--optimize``, like ``--curve``,
-does not. The others, ``sample`` among them (its draws come from the
+Of those, only ``chsh --optimize`` on a table below its CHSH bound at its
+preset starts imports numpy, to draw the search's random starts. The
+singlet, ``classical:ID`` and superquantum models reach their bound at
+the eq2 preset, so their ``--optimize``, like ``--curve``, does not. The
+others, ``sample`` among them (its draws come from the
 standard library's ``random``), and the geometry subcommands
 (``jam --config``, ``--latest``, ``--sweep`` and ``--scenario``, and
 ``boost``), run on the standard library alone, which keeps their cold start
@@ -135,11 +136,14 @@ def _parse_deterministic(text: str) -> str:
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
+    """``--angles``: a preset name or four numbers between commas. Text with
+    no comma, such as a misspelt preset, gets the message that lists the
+    presets."""
     from . import correlations as corr
 
     if text in corr.ANGLE_PRESETS:
         return corr.ANGLE_PRESETS[text]
-    values = _parse_floats(text)
+    values = _parse_floats(text) if "," in text else ()
     if len(values) != 4:
         raise argparse.ArgumentTypeError(
             f"expected a preset ({', '.join(sorted(corr.ANGLE_PRESETS))}) "
@@ -380,6 +384,10 @@ def _cmd_boost(args):
         ]
         return {"orderings": orderings, "count": len(orderings)}, params, True
     bst = st.Boost(args.v)
+    for i, event in enumerate(events):
+        if event.d != bst.d:
+            raise ValueError(f"--v has dimension {bst.d}, but event {i} of {args.events} "
+                             f"has dimension {event.d}")
     params["v"] = bst.v
     transformed = [st.boost(e, bst) for e in events]
     return {"events": transformed}, params, True

@@ -13,10 +13,10 @@ model reaches 4 while keeping uniform single-party marginals.
 
 Every caller passes one box or one angle at a time, so boxes, models and
 their checks are plain ``math`` on floats, and each model has one E,
-``correlation``. numpy is imported only where arrays pay: in the random
-starts and coarse sweeps of a ``maximize_chsh`` search that runs
-(``np.interp`` for a table, the pointwise default ``_corr_array`` for a
-subclass that defines only ``_corr``), and in the ndarray views
+``_corr`` on a folded angle, behind ``correlation``; ``maximize_chsh``
+sweeps and refines through it too. numpy is imported only for the random
+starts of a ``maximize_chsh`` search that reaches them
+(``numpy.random.default_rng``), and in the ndarray views
 ``NoSignallingBox.probs``, ``correlations()``, ``marginals()`` and
 ``TableModel.thetas`` and ``values``. ``sample_outcomes`` draws its counts
 from the standard library's ``random``.
@@ -335,10 +335,8 @@ class CorrelationModel:
     with the fold inline: ``float()`` runs only on a non-float, |theta| < inf
     is the finite check, and the error and every bit are ``reduce_angle``'s
     (``test_scalar_correlation_matches_the_reference_fold``). A subclass
-    defines ``_corr`` on [0, pi]. The sweeps of ``maximize_chsh`` call
-    ``_corr_array`` on an ndarray of folded angles, equal to ``_corr``
-    element by element: point by point by default, ``np.interp`` for
-    ``TableModel``.
+    defines ``_corr`` on [0, pi], a float to a float; ``maximize_chsh``
+    calls it directly on angles it folds with the same operations.
 
     ``chsh_bound`` is a certified upper bound on |CHSH| at any four angles,
     in exact arithmetic; ``maximize_chsh`` returns as soon as it reaches
@@ -363,11 +361,6 @@ class CorrelationModel:
 
     def _corr(self, theta: float) -> float:
         raise NotImplementedError
-
-    def _corr_array(self, t: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self._corr(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
     def to_json(self) -> dict:
         return {"kind": self.kind}
@@ -453,11 +446,11 @@ class TableModel(CorrelationModel):
 
     Outside the table E is held at the first or last value. Values may
     exceed [-1, 1] by ``PROB_TOL`` and are clipped to it, so no table
-    passes the algebraic bound. The scalar path repeats ``np.interp``'s
-    arithmetic in plain floats: a node gives its value, and theta inside
-    segment j gives slope_j * (theta - x_j) + y_j, the slopes computed at
-    construction as np.interp computes them, (y_{j+1} - y_j) / (x_{j+1} -
-    x_j). Both agree bit for bit (``test_table_scalar_equals_array_at_edges``).
+    passes the algebraic bound. E repeats ``np.interp``'s arithmetic in
+    plain floats: a node gives its value, and theta inside segment j gives
+    slope_j * (theta - x_j) + y_j, the slopes computed at construction as
+    np.interp computes them, (y_{j+1} - y_j) / (x_{j+1} - x_j). Both agree
+    bit for bit (``test_table_scalar_equals_array_at_edges``).
     A slope that is not finite, from a segment narrower than about 1e-308,
     raises ``ValueError`` naming the segment, as E would be infinite inside it.
     """
@@ -502,11 +495,6 @@ class TableModel(CorrelationModel):
         if theta == x or j == len(xs) - 1:  # a node, or beyond the last
             return y
         return self._slopes[j] * (theta - x) + y
-
-    def _corr_array(self, t: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.interp(t, self._xs, self._ys)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "thetas": list(self._xs), "values": list(self._ys)}
@@ -614,8 +602,8 @@ class ChshOptimum:
     angles: tuple[float, float, float, float]
     value: float  # max |CHSH| found
     result: ChshResult  # signed breakdown at those angles
-    evaluations: int  # E(theta) points the search evaluated, array points included;
-    # a refinement trial evaluates only the two terms its angle moves
+    evaluations: int  # E(theta) points the search evaluated; a sweep point or a
+    # refinement trial evaluates only the two terms its angle moves
 
 
 # Axis pairs (a, b), (a, b'), (a', b), (a', b') of the four CHSH terms, as
@@ -629,6 +617,11 @@ _MOVES = tuple(tuple((k, p + q - i) for k, (p, q) in enumerate(_TERM_AXES) if i 
 # refinement stops
 _COARSE_STEP = math.pi / 180.0
 _FINAL_STEP = 1e-8
+# The angles of a coarse sweep, those of np.arange(0.0, 2*pi, _COARSE_STEP):
+# its length, ceil(2*pi / step), and its values k * step
+_SWEEP_GRID = tuple(k * _COARSE_STEP for k in range(math.ceil(_TWO_PI / _COARSE_STEP)))
+# The starts of maximize_chsh before its random ones
+_PRESET_STARTS = (ANGLE_PRESETS["eq2"], ANGLE_PRESETS["singlet-optimal"], (0.0,) * 4)
 
 
 def maximize_chsh(model: CorrelationModel, *, extra_starts: int = 4, seed: int = 0) -> ChshOptimum:
@@ -649,21 +642,23 @@ def maximize_chsh(model: CorrelationModel, *, extra_starts: int = 4, seed: int =
     (1980)) and the algebraic bound 4 for every other model. The first value
     tested is the eq2 preset's. It is at the bound for the singlet, every
     deterministic strategy, the superquantum model and any table at
-    4 there, so they get eq2 after 8 evaluations, with no sweep and no
-    numpy. A model that reaches 4 later gets the result of all starts run,
-    bit for bit. A start's own refinement always runs to the end, because
-    its rejected trials may move an angle by an ulp. A subclass that changes
-    E must restate ``chsh_bound``.
+    4 there, so they get eq2 after 8 evaluations, with no sweep. A model
+    that reaches 4 later gets the result of all starts run, bit for bit. A
+    start's own refinement always runs to the end, because its rejected
+    trials may move an angle by an ulp. A subclass that changes E must
+    restate ``chsh_bound``.
 
-    The search keeps the four terms of the current angles. Each coarse sweep
-    evaluates its two varying terms over the whole grid in one
-    ``_corr_array`` call and keeps the first grid point of largest value if
-    it beats the current one, as a point-by-point scan with ``>`` would. A
-    refinement trial evaluates only the two terms its angle moves, folding
-    the angles inline with ``reduce_angle``'s operations; a rejected trial
-    sets the angle back to ``trial - delta`` and re-evaluates those two
-    terms only if that is an ulp off the old angle. Results are those of
-    evaluating all four terms at every point.
+    Every E is ``model._corr`` on a plain float, and the search keeps the
+    four terms of the current angles. A coarse sweep sets one angle to each
+    point of ``_SWEEP_GRID`` in turn, evaluates the two terms it moves and
+    keeps the first point whose |CHSH| beats the current value. A
+    refinement trial evaluates the same two terms; a rejected trial sets the
+    angle back to ``trial - delta`` and re-evaluates those two terms only if
+    that is an ulp off the old angle. Both fold each angle inline with
+    ``reduce_angle``'s operations. Results are those of evaluating all four
+    terms at every point. numpy is imported only to draw the first random
+    start (``numpy.random.default_rng(seed)``), so a search that ends within
+    the presets runs on the standard library alone.
     """
     extra_starts = _json_number(extra_starts, "extra_starts", integer=True)
     if extra_starts < 0:
@@ -681,50 +676,43 @@ def maximize_chsh(model: CorrelationModel, *, extra_starts: int = 4, seed: int =
         return [corr(reduce_angle(angles[p] - angles[q])) for p, q in _TERM_AXES]
 
     def value(t):
-        # |CHSH| of four terms, scalars or arrays
         return abs(t[0] + t[1] + t[2] - t[3])
-
-    def sweep(angles, terms, i):
-        # |CHSH| with angle i set to each point of ``line``, the others fixed,
-        # and the two varying terms; E is even, so both are E(line - partner)
-        nonlocal evaluations
-        (k0, j0), (k1, j1) = _MOVES[i]
-        t = np.fmod(np.abs(line - np.array([[angles[j0]], [angles[j1]]])), two_pi)
-        varying = model._corr_array(np.where(t > math.pi, two_pi - t, t))
-        evaluations += varying.size
-        now = list(terms)
-        now[k0], now[k1] = varying
-        return value(now), varying
-
-    def starts():
-        # the presets, then the seeded random starts, drawn when reached
-        yield from (ANGLE_PRESETS["eq2"], ANGLE_PRESETS["singlet-optimal"], (0.0,) * 4)
-        rng = np.random.default_rng(seed)
-        for _ in range(extra_starts):
-            yield tuple(rng.uniform(0.0, two_pi, size=4).tolist())
 
     best_angles = ANGLE_PRESETS["eq2"]
     best_val = value(all_terms(best_angles))
-    for start in starts():
+    rng = None
+    for n in range(len(_PRESET_STARTS) + extra_starts):
         if best_val >= model.chsh_bound:
             break
-        import numpy as np  # only a search that runs sweeps needs it
+        if n < len(_PRESET_STARTS):
+            angles = list(_PRESET_STARTS[n])
+        else:
+            if rng is None:
+                import numpy as np  # only a search that reaches a random start needs it
 
-        line = np.arange(0.0, two_pi, _COARSE_STEP)
-        angles = list(start)
+                rng = np.random.default_rng(seed)
+            angles = rng.uniform(0.0, two_pi, size=4).tolist()
         terms = all_terms(angles)
         val = value(terms)
-        # coarse per-coordinate sweeps
+        # coarse per-coordinate sweeps; E is even, so both moved terms are
+        # E(point - partner)
         for _ in range(4):
             changed = False
             for i in range(4):
-                values, varying = sweep(angles, terms, i)
-                k = int(np.argmax(values))
-                if values[k] > val:
-                    val = float(values[k])
-                    angles[i] = float(line[k])
-                    (k0, _), (k1, _) = _MOVES[i]
-                    terms[k0], terms[k1] = varying[:, k].tolist()
+                (k0, j0), (k1, j1) = _MOVES[i]
+                p0, p1 = angles[j0], angles[j1]
+                t, found = terms[:], None
+                for x in _SWEEP_GRID:
+                    d = fmod(abs(x - p0), two_pi)
+                    t[k0] = corr(two_pi - d if d > pi else d)
+                    d = fmod(abs(x - p1), two_pi)
+                    t[k1] = corr(two_pi - d if d > pi else d)
+                    v = abs(t[0] + t[1] + t[2] - t[3])
+                    if v > val:
+                        val, found = v, (x, t[k0], t[k1])
+                evaluations += 2 * len(_SWEEP_GRID)
+                if found is not None:
+                    angles[i], terms[k0], terms[k1] = found
                     changed = True
             if not changed:
                 break

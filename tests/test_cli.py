@@ -509,6 +509,19 @@ def test_jam_position_of_another_dimension_is_input_error(tmp_path, monkeypatch,
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("events,index", [
+    ([[0.0, 0.0], [1.0, 0.5]], 0),  # every event in d = 1
+    ([[0.0, 0.0, 0.0], [2.0, 0.1, 0.3], [1.0, 0.5]], 2),  # the third event in d = 1
+], ids=["uniform", "mixed"])
+def test_boost_velocity_of_another_dimension_is_input_error(tmp_path, capsys, events, index):
+    # the error named neither --v nor the file: "boost has dimension 2, event
+    # has dimension 1"
+    path = write_json(tmp_path / "ev.json", events)
+    code, out, err = run_cli(capsys, "boost", "--events", path, "--v", "0.5,0.1")
+    assert (code, out) == (2, "")
+    assert err == f"error: --v has dimension 2, but event {index} of {path} has dimension 1\n"
+
+
 def test_jam_latest_position_starting_with_dash(capsys):
     code, report = run_json(capsys, "jam", "--latest", "--d", "2", "--position", "-0.4,1.6")
     assert code == 0
@@ -1128,6 +1141,18 @@ def test_bad_angles_is_input_error(capsys):
     code, out, err = run_any(capsys, "chsh", "--model", "singlet", "--angles", "1,2")
     assert code == 2 and out == ""
     assert "argument --angles: expected a preset" in err and "got '1,2'" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("chsh", "--model", "singlet"),
+    ("sample", "--model", "singlet", "--n", "10", "--seed", "1"),
+], ids=["chsh", "sample"])
+def test_misspelt_angle_preset_lists_the_presets(capsys, args):
+    # this read "expected comma-separated numbers, got 'foo'"
+    code, out, err = run_any(capsys, *args, "--angles", "foo")
+    assert (code, out) == (2, "")
+    assert ("argument --angles: expected a preset (eq2, singlet-optimal) or four "
+            "comma-separated angles a,a',b,b'; got 'foo'") in err
 
 
 @pytest.mark.parametrize("args", [

@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from nonlocality.correlations import (
     ChshResult,
     NoSignallingReport,
     UnaryReport,
+    _SWEEP_GRID,
     _binomial,
     model_from_json,
 )
@@ -48,6 +52,7 @@ from nonlocality.correlations import (
 import box_oracle
 
 PI = math.pi
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ------------------------------------------------------------------- models
@@ -146,7 +151,7 @@ def test_table_values_clipped_to_unit_interval():
 
 
 def test_table_scalar_equals_array_at_edges():
-    # the scalar path repeats np.interp's arithmetic in plain floats
+    # E repeats np.interp's arithmetic in plain floats; np.interp is the reference
     tables = [
         TableModel([0.2, 1.1, 2.9], [0.3, -0.6, 0.9]),  # first > 0, last < pi
         TableModel([0.5, 2.5], [-1.0, 1.0]),  # two points
@@ -160,7 +165,7 @@ def test_table_scalar_equals_array_at_edges():
         thetas += [math.nextafter(t, math.inf) for t in nodes]
         thetas += np.linspace(0.0, PI, 1001).tolist()
         thetas = [t for t in thetas if 0.0 <= t <= PI]
-        want = model._corr_array(np.array(thetas))
+        want = np.interp(thetas, model.thetas, model.values)
         got = np.array([model.correlation(t) for t in thetas])
         assert np.array_equal(got, want), nodes
         for t, v in zip(nodes, model.values.tolist()):
@@ -196,12 +201,12 @@ def test_table_rejects_infinite_slopes(thetas, values):
         model_from_json({"kind": "table", "thetas": thetas, "values": values})
     # a segment as narrow with a rise small enough has a finite slope
     model = TableModel(thetas, [1e-300, 0.0] + values[2:])
-    assert model.correlation(thetas[1] / 2) == model._corr_array(np.array([thetas[1] / 2]))[0]
+    assert model.correlation(thetas[1] / 2) == np.interp(thetas[1] / 2, model.thetas, model.values)
 
 
 class _PointwiseModel(CorrelationModel):
-    """A model that defines only the scalar ``_corr``: the array path falls
-    back to calling it point by point."""
+    """A library subclass that defines only ``_corr`` and keeps the default
+    ``chsh_bound`` of 4, so that every search of it runs all its starts."""
 
     def _corr(self, theta):
         return -math.cos(theta)
@@ -233,22 +238,6 @@ def test_angle_difference_that_overflows_names_its_axes(angles, message):
     # an angle that is itself not finite keeps its message
     with pytest.raises(ValueError, match="^angle must be finite, got inf$"):
         chsh_at_angles(SingletModel(), math.inf, 0.0, 0.0, -1e308)
-
-
-def test_corr_array_equals_scalar_exactly():
-    # the sweeps of a search that runs evaluate a table by np.interp and any
-    # other model point by point; both must match the scalar E
-    special = [0.0, PI / 4, 3 * PI / 4, PI, 2 * PI, 4 * PI, -PI / 4, -3 * PI / 4, -PI,
-               -2 * PI, 13.0, -13.0, 4 * PI + 0.5, -(4 * PI + 0.5), 1e3, -1e3]
-    thetas = np.linspace(-5 * PI, 5 * PI, 4001).tolist() + special
-    folded = np.array([reduce_angle(t) for t in thetas])
-    for model in _all_models()[1:5]:  # the superquantum model, the tables and _PointwiseModel
-        got = model._corr_array(folded)
-        want = np.array([model.correlation(t) for t in thetas])
-        assert got.shape == folded.shape
-        assert np.array_equal(got, want), type(model).__name__
-        grid = folded[:4000].reshape(40, 100)
-        assert np.array_equal(model._corr_array(grid), want[:4000].reshape(40, 100))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -656,8 +645,8 @@ def test_maximize_matches_golden_optima_bit_for_bit(name, seed):
 
 
 def test_maximize_float_only_interpolant():
-    # a model that defines only the scalar _corr is swept point by point,
-    # one float at a time; this one has the singlet's E and finds its maximum
+    # a subclass that defines only _corr: with the singlet's E but the bound
+    # 4, every start runs, and the search finds the singlet's maximum
     assert maximize_chsh(_PointwiseModel()).value == maximize_chsh(SingletModel()).value
 
 
@@ -784,6 +773,53 @@ def test_maximize_counts_evaluations():
     assert opt.evaluations == total
     # the same starts on a model that improves take more points
     assert maximize_chsh(_PointwiseModel(), extra_starts=extra).evaluations > opt.evaluations
+
+
+def test_sweep_grid_is_numpys_arange():
+    # the sweeps were np.arange's grid; float rounding of 2*pi / (pi/180)
+    # could add a point to a grid built another way
+    want = np.arange(0.0, 2.0 * math.pi, math.pi / 180.0).tolist()
+    assert len(_SWEEP_GRID) == len(want) == 360
+    assert list(_SWEEP_GRID) == want
+
+
+# The 5-point table that CI searches ("table-smooth"): below 4 at eq2, so
+# its sweeps and refinement run. Prints the search's angles, value,
+# evaluations and whether numpy was loaded, with numpy blocked (argv[1]
+# "blocked") or importable.
+_TABLE_SEARCH = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from nonlocality import TableModel, maximize_chsh
+model = TableModel([0.0, 0.5, 1.2, 2.0, 3.141592653589793], [-1.0, -0.7, 0.1, 0.6, 1.0])
+opt = maximize_chsh(model, extra_starts=int(sys.argv[2]))
+print(json.dumps([opt.angles, opt.value, opt.evaluations, sys.modules.get("numpy") is not None]))
+"""
+
+
+def _table_search(mode, extra_starts):
+    proc = subprocess.run(
+        [sys.executable, "-c", _TABLE_SEARCH, mode, str(extra_starts)],
+        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_search_within_the_presets_runs_without_numpy():
+    blocked = _table_search("blocked", 0)
+    assert blocked == _table_search("importable", 0)
+    opt = maximize_chsh(_golden_model("table-smooth"), extra_starts=0)
+    assert blocked == [list(opt.angles), opt.value, opt.evaluations, False]
+    assert (opt.value, opt.evaluations) == (2.387380928840917, 24454)
+
+
+def test_search_that_reaches_a_random_start_loads_numpy():
+    angles, value, evaluations, loaded = _table_search("importable", 1)
+    opt = maximize_chsh(_golden_model("table-smooth"), extra_starts=1)
+    assert (tuple(angles), value, evaluations) == (opt.angles, opt.value, opt.evaluations)
+    assert loaded
 
 
 def test_maximize_superquantum_runs_one_start():
