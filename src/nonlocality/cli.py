@@ -9,8 +9,9 @@ no wall-clock time in it. Where a report is a library dataclass,
 with tuples written as lists and events as ``[x..., t]``. Exit
 codes: 0 on success, 1 when a checked claim fails (a verdict is false), 2
 on input errors. Any option takes a dash-leading number as its value,
-in every form ``float()`` reads: ``--position -0.4,1.6``, ``--tol -1e-9``,
-``--v -inf,0``, also as ``OPT=VALUE`` or under an abbreviated option name.
+in every form ``float()`` reads: ``--position -0.4,1.6``, ``--v -inf,0``,
+also as ``OPT=VALUE`` or under an abbreviated option name. No option sets
+a tolerance: ``params.tol`` echoes the fixed one that a check ran at.
 
 Each subcommand takes exactly one source (``boost`` one of ``--v`` and
 ``--orderings``; ``chsh`` at most one of ``--angles``, ``--optimize`` and
@@ -88,14 +89,6 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
         values = [k * step + lo for k in range(n)]
     values[-1] = hi
     return values
-
-
-def _parse_tol(text: str) -> float:
-    """``--tol``: a finite number > 0."""
-    try:
-        return st._resolve_tol(text, "value")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # Largest count an option takes: ``jam --d``, ``chsh --curve`` and the n of
@@ -300,7 +293,7 @@ def _cmd_nosig(args):
     from . import correlations as corr
 
     box, name = _load_box(args)
-    report = corr.check_no_signalling(box, tol=args.tol)
+    report = corr.check_no_signalling(box)
     return report, {"box": name, "tol": report.tol}, report.passed
 
 
@@ -308,11 +301,6 @@ def _cmd_jam(args):
     if args.box is not None or args.builtin is not None:
         from . import correlations as corr
 
-        if args.tol is not None:
-            raise ValueError(
-                "--tol is the geometric tolerance; jam --box/--builtin checks the unary "
-                f"condition at the probability tolerance {corr.PROB_TOL:g}"
-            )
         box, name = _load_box(args)
         strength = 1.0 if args.strength is None else args.strength
         jammed = corr.apply_jamming(box, strength=strength)
@@ -325,11 +313,10 @@ def _cmd_jam(args):
             "jammed_box": jammed,
         }
         return results, params, unary.holds
-    tol = st._resolve_tol(args.tol)
-    params = {"tol": tol}
+    params = {"tol": st.GEOMETRIC_TOL}
     d = args.d or 1
     if args.latest:
-        res = jam.latest_jammer_time(d, position=args.position, tol=tol)
+        res = jam.latest_jammer_time(d, position=args.position)
         params.update({"d": d, "position": res.position})
         return res, params, True
     if args.sweep:
@@ -350,9 +337,9 @@ def _cmd_jam(args):
         rows = []
         for jt in _linspace(lo, hi, n):
             cfg = jam.JammingConfiguration(a=a, b=b, j=st.Event(position, jt))
-            valid = jam.validate_configuration(cfg, tol=tol).valid
+            valid = jam.validate_configuration(cfg).valid
             if valid:
-                verdict = jam.binary_condition(cfg, tol=tol)
+                verdict = jam.binary_condition(cfg)
                 rows.append([f"{jt:.12g}", 1, f"{verdict.margin:.12g}", int(verdict.holds)])
             else:
                 rows.append([f"{jt:.12g}", 0, "nan", 0])
@@ -361,15 +348,15 @@ def _cmd_jam(args):
         return {"csv": args.csv, "rows": count}, params, True
     if args.scenario is not None:
         scenario = _load_json(args.scenario, jam.JamScenario.from_json)
-        report = jam.detect_causal_loops(scenario, tol=tol)
+        report = jam.detect_causal_loops(scenario)
         params["scenario"] = args.scenario
         return report, params, report.acyclic
     cfg = _load_json(args.config, jam.JammingConfiguration.from_json)
-    validation = jam.validate_configuration(cfg, tol=tol)
+    validation = jam.validate_configuration(cfg)
     params["config"] = args.config
     if not validation.valid:
         return {"validation": validation}, params, False
-    verdict = jam.binary_condition(cfg, tol=tol)
+    verdict = jam.binary_condition(cfg)
     return {"validation": validation, "binary": verdict}, params, verdict.holds
 
 
@@ -377,17 +364,21 @@ def _cmd_boost(args):
     events = _load_json(args.events, _read_events)
     params = {"events": args.events, "tol": st.GEOMETRIC_TOL}
     if args.orderings:
+        name, d = "event 0", events[0].d if events else None
+    else:
+        bst = st.Boost(args.v)
+        name, d = "--v", bst.d
+    for i, event in enumerate(events):
+        if event.d != d:
+            raise ValueError(f"{name} has dimension {d}, but event {i} of {args.events} "
+                             f"has dimension {event.d}")
+    if args.orderings:
         found = st.achievable_orderings(events)
         orderings = [
             {"order": perm, "witness_velocity": bst.v}
             for perm, bst in sorted(found.items())
         ]
         return {"orderings": orderings, "count": len(orderings)}, params, True
-    bst = st.Boost(args.v)
-    for i, event in enumerate(events):
-        if event.d != bst.d:
-            raise ValueError(f"--v has dimension {bst.d}, but event {i} of {args.events} "
-                             f"has dimension {event.d}")
     params["v"] = bst.v
     transformed = [st.boost(e, bst) for e in events]
     return {"events": transformed}, params, True
@@ -505,8 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--box", help="box JSON file")
     source.add_argument("--builtin", help="a builtin box name")
-    p.add_argument("--tol", type=_parse_tol, default=None,
-                   help="probability tolerance, a finite number > 0")
     common(p)
 
     p = sub.add_parser("jam", help="jamming configurations, windows, scenarios, boxes", reads={
@@ -531,8 +520,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--csv", help="CSV output path for --sweep")
     p.add_argument("--strength", type=float, help="jamming strength in [0, 1] (default 1)")
-    p.add_argument("--tol", type=_parse_tol, default=None,
-                   help="geometric tolerance, a finite number > 0 (not with --box/--builtin)")
     common(p)
 
     p = sub.add_parser("boost", help="Lorentz-transform events or enumerate orderings")

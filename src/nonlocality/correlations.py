@@ -31,7 +31,7 @@ from math import fabs, floor, lgamma, log, log2, sqrt
 from operator import sub
 from typing import TYPE_CHECKING, Callable
 
-from .spacetime import _json_number, _resolve_tol
+from .spacetime import _json_number, _real
 
 PROB_TOL = 1e-12
 CLASSICAL_BOUND = 2.0
@@ -47,12 +47,23 @@ if TYPE_CHECKING:
 _TWO_PI = 2.0 * math.pi
 
 
+def _angle(theta, name: str = "angle") -> float:
+    """``theta`` as a float by ``_real``'s rule, ``_json_number``'s: ``ValueError``
+    naming ``name`` for a bool, a string or None. An int too large gives inf."""
+    value = _real(theta)
+    if value is None:
+        raise ValueError(f"{name} must be a finite number, got {theta!r}")
+    return value
+
+
 def reduce_angle(theta: float) -> float:
     """Fold any finite angle into [0, pi] using E(t) = E(-t) = E(2*pi - t):
-    ``float``, the finite check, t = fmod(|theta|, 2*pi), then 2*pi - t where
-    t > pi. ``CorrelationModel.correlation`` repeats these operations inline,
-    bit for bit (``test_scalar_correlation_matches_the_reference_fold``)."""
-    theta = float(theta)
+    ``_angle`` on a non-float, the finite check, t = fmod(|theta|, 2*pi),
+    then 2*pi - t where t > pi. ``CorrelationModel.correlation`` repeats
+    these operations inline, bit for bit
+    (``test_scalar_correlation_matches_the_reference_fold``)."""
+    if type(theta) is not float:
+        theta = _angle(theta)
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta}")
     t = math.fmod(abs(theta), _TWO_PI)
@@ -217,16 +228,14 @@ class NoSignallingReport:
     tol: float
 
 
-def check_no_signalling(box: NoSignallingBox, tol: float | None = PROB_TOL) -> NoSignallingReport:
-    """Largest dependence of one party's marginals on the other's setting.
-
-    ``tol`` None means ``PROB_TOL``, not the geometric ``GEOMETRIC_TOL``."""
-    tol = PROB_TOL if tol is None else _resolve_tol(tol)
+def check_no_signalling(box: NoSignallingBox) -> NoSignallingReport:
+    """Largest dependence of one party's marginals on the other's setting,
+    at the probability tolerance ``PROB_TOL``."""
     pa, pb = box._marginals()
     # Alice's marginal at (x, 0) against (x, 1); Bob's at (0, y) against (1, y)
     dev = max(abs(pa[0] - pa[2]), abs(pa[1] - pa[3]), abs(pa[4] - pa[6]), abs(pa[5] - pa[7]),
               abs(pb[0] - pb[4]), abs(pb[1] - pb[5]), abs(pb[2] - pb[6]), abs(pb[3] - pb[7]))
-    return NoSignallingReport(passed=dev <= tol, max_deviation=dev, tol=tol)
+    return NoSignallingReport(passed=dev <= PROB_TOL, max_deviation=dev, tol=PROB_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -332,8 +341,9 @@ class CorrelationModel:
     """A correlation function of the relative measurement angle.
 
     ``correlation``, the one scalar entry point, is ``_corr(reduce_angle(theta))``
-    with the fold inline: ``float()`` runs only on a non-float, |theta| < inf
-    is the finite check, and the error and every bit are ``reduce_angle``'s
+    with the fold inline: ``_angle`` runs only on a non-float (a bool, a string
+    or None is a ``ValueError``), |theta| < inf is the finite check, and the
+    error and every bit are ``reduce_angle``'s
     (``test_scalar_correlation_matches_the_reference_fold``). A subclass
     defines ``_corr`` on [0, pi], a float to a float; ``maximize_chsh``
     calls it directly on angles it folds with the same operations.
@@ -352,7 +362,7 @@ class CorrelationModel:
 
     def correlation(self, theta: float) -> float:
         if type(theta) is not float:
-            theta = float(theta)
+            theta = _angle(theta)
         t = abs(theta)
         if not t < math.inf:
             raise ValueError(f"angle must be finite, got {theta}")
@@ -545,8 +555,12 @@ ANGLE_PRESETS: dict[str, tuple[float, float, float, float]] = {
 
 
 def _terms_at_angles(model: CorrelationModel, a, a_prime, b, b_prime) -> list[float]:
-    """E(a - b), E(a - b'), E(a' - b), E(a' - b'). Where the angles are
-    finite but a difference overflows, ``ValueError`` names its two axes."""
+    """E(a - b), E(a - b'), E(a' - b), E(a' - b'). ``ValueError`` names the
+    axis of an angle that ``_angle`` refuses, and where the angles are
+    finite but a difference overflows, its two axes."""
+    if not type(a) is type(a_prime) is type(b) is type(b_prime) is float:
+        for x, name in ((a, "a"), (a_prime, "a'"), (b, "b"), (b_prime, "b'")):
+            _angle(x, f"angle {name}")
     try:
         return [model.correlation(x - y) for x in (a, a_prime) for y in (b, b_prime)]
     except ValueError:

@@ -3,8 +3,8 @@
 Events are points (x_1 .. x_d, t). Light cones are closed sets, and all
 classifications use a symmetric tolerance band so that points numerically
 on a cone surface are reported as boundary rather than flipping sides.
-Every ``tol`` argument must be a finite number > 0; None means the default
-geometric tolerance, ``GEOMETRIC_TOL`` = 1e-9. No result reads the
+Every ``tol`` argument must be a finite number > 0 (not a bool or a
+string); None means ``GEOMETRIC_TOL`` = 1e-9. No result reads the
 environment: each depends on its arguments alone.
 
 Each call takes single events, so the module is plain ``math`` on
@@ -26,22 +26,19 @@ SPACELIKE = "spacelike"
 NULL = "null"
 
 
-def _resolve_tol(tol=None, name: str = "tol") -> float:
+def _resolve_tol(tol=None) -> float:
     """``tol`` as a float, or ``GEOMETRIC_TOL`` when it is None.
 
-    Raises ``ValueError`` naming ``name`` unless the value is a finite
-    number > 0; a string is parsed first. This is the package's one rule
-    for tolerances: every library ``tol`` argument and the CLI's ``--tol``
-    go through it.
+    Raises ``ValueError`` unless the value is a real number by ``_real``'s
+    rule (``_json_number``'s: not a bool or a string), finite and > 0. A
+    float skips ``_real``, which costs about eight times as much. Every
+    ``tol`` argument of ``spacetime`` and ``jamming`` goes through it.
     """
     if tol is None:
         return GEOMETRIC_TOL
-    try:
-        value = float(tol)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
+    value = tol if type(tol) is float else _real(tol)
+    if value is None or not 0.0 < value < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     return value
 
 

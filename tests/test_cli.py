@@ -451,12 +451,40 @@ def test_jam_box(capsys):
     assert report["results"]["unary"]["holds"] is True
 
 
+def assert_tol_refused(capsys, argv, value):
+    """``argv`` with ``--tol value``: jam's and nosig's parsers refuse it as
+    an unknown option, with the subcommand's usage and nothing on stdout."""
+    code, out, err = run_any(capsys, *argv, "--tol", value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: nonlocality {argv[0]}")
+    assert err.endswith(f"nonlocality {argv[0]}: error: unrecognized arguments: --tol {value}\n")
+
+
 @pytest.mark.parametrize("source", [("--builtin", "uniform"), ("--box", "missing.json")])
 def test_jam_box_with_geometric_tol_is_input_error(capsys, source):
-    code, out, err = run_cli(capsys, "jam", *source, "--tol", "0.1")
-    assert code == 2 and out == ""
-    assert err == ("error: --tol is the geometric tolerance; jam --box/--builtin checks "
-                   "the unary condition at the probability tolerance 1e-12\n")
+    # this refused --tol with "--tol is the geometric tolerance; jam
+    # --box/--builtin checks the unary condition at the probability tolerance
+    # 1e-12"; no subcommand takes --tol now
+    assert_tol_refused(capsys, ["jam", *source], "0.1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["jam", "--config", "cfg.json"],
+    ["jam", "--latest", "--d", "2"],
+    ["jam", "--sweep", "--csv", "sweep.csv"],
+    ["jam", "--scenario", "scenario.json"],
+    ["nosig", "--builtin", "uniform"],
+    ["nosig", "--box", "box.json"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_tol_is_not_an_option(tmp_path, monkeypatch, capsys, argv):
+    # jam --tol set the geometric band and nosig --tol the no-signalling one;
+    # every report ran at the defaults that it echoes
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "cfg.json", canonical_config())
+    write_json(tmp_path / "scenario.json", [canonical_config()])
+    write_json(tmp_path / "box.json", builtin_box("uniform").to_json())
+    assert_tol_refused(capsys, argv, "1e-6")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("args", [["nosig", "--builtin", "singlet-optimal"],
@@ -520,6 +548,15 @@ def test_boost_velocity_of_another_dimension_is_input_error(tmp_path, capsys, ev
     code, out, err = run_cli(capsys, "boost", "--events", path, "--v", "0.5,0.1")
     assert (code, out) == (2, "")
     assert err == f"error: --v has dimension 2, but event {index} of {path} has dimension 1\n"
+
+
+def test_boost_orderings_of_mixed_dimensions_name_the_event(tmp_path, capsys):
+    # the error named neither the file nor the event: "events have mismatched
+    # dimensions: [1, 2]"
+    path = write_json(tmp_path / "mixed.json", [[0.0, 0.0, 0.0], [2.0, 0.1, 0.3], [1.0, 0.5]])
+    code, out, err = run_cli(capsys, "boost", "--events", path, "--orderings")
+    assert (code, out) == (2, "")
+    assert err == f"error: event 0 has dimension 2, but event 2 of {path} has dimension 1\n"
 
 
 def test_jam_latest_position_starting_with_dash(capsys):
@@ -634,8 +671,6 @@ _DASH_LEADING = [
     (("jam", "--sweep", "--csv", "sweep.csv"), "--sweep-range", "-1,-1e-1,5", "--sweep-r", 0),
     (("jam", "--builtin", "superquantum-eq2"), "--strength", "-0e-3", "--str", 0),
     (("jam", "--builtin", "superquantum-eq2"), "--strength", "-1e-05", "--str", 2),
-    (("jam", "--latest", "--d", "2"), "--tol", "-1e-9", "--to", 2),
-    (("nosig", "--builtin", "uniform"), "--tol", "-Infinity", "--to", 2),
 ]
 
 
@@ -662,13 +697,6 @@ def test_number_options_take_dash_leading_values(tmp_path, monkeypatch, capsys, 
         assert echo == (parsed if "," in value else parsed[0])
     else:
         assert option[2:] in err and out == ""
-
-
-def test_jam_tol_in_exponent_notation_is_read_by_its_parser(capsys):
-    # argparse took -1e-9 for an option and said "expected one argument"
-    code, out, err = run_any(capsys, "jam", "--latest", "--d", "2", "--tol", "-1e-9")
-    assert code == 2 and out == ""
-    assert "argument --tol: value must be a finite number > 0, got '-1e-9'" in err
 
 
 @pytest.mark.parametrize("position", ["-inf,0", "-nan,0.3", "-Infinity,0", "-INF,1"])

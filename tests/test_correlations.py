@@ -240,17 +240,35 @@ def test_angle_difference_that_overflows_names_its_axes(angles, message):
         chsh_at_angles(SingletModel(), math.inf, 0.0, 0.0, -1e308)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("angles,message", [
+    ((None, 0.0, 1.0, 2.0), "angle a must be a finite number, got None"),
+    ((0, "0", 1, 2), "angle a' must be a finite number, got '0'"),
+    ((0.0, 0.0, True, 2.0), "angle b must be a finite number, got True"),
+    ((0.0, 0.0, 1.0, [2.0]), "angle b' must be a finite number, got [2.0]"),
+], ids=["a", "a'", "b", "b'"])
+def test_angle_that_is_not_a_number_names_its_axis(angles, message):
+    # None and '0' raised TypeError, and True ran as 1.0 and was echoed as True
+    for model in (SingletModel(), SuperquantumModel(), DeterministicModel(5)):
+        for fn in (chsh_at_angles, box_from_model):
+            with pytest.raises(ValueError) as exc:
+                fn(model, *angles)
+            assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "0.5", True, False])
 def test_correlation_rejects_nonfinite(bad):
+    # '0.5' gave E(0.5) and True E(1.0); None raised TypeError
     for model in _all_models():
         with pytest.raises(ValueError, match="finite"):
             model.correlation(bad)
+    with pytest.raises(ValueError, match="finite"):
+        reduce_angle(bad)
 
 
 def _fold_inputs():
     """Angles where a fold that differs from ``reduce_angle`` in any operation
     shows: grid points, multiples of pi and 2*pi with their neighbours, signed
-    zeros, huge and subnormal floats, ints, bools and numpy scalars."""
+    zeros, huge and subnormal floats, ints and numpy scalars."""
     thetas = np.linspace(-7 * PI, 7 * PI, 2001).tolist()
     for k in range(1, 9):
         for t in (k * PI, 2 * k * PI, k * PI / 4):
@@ -258,7 +276,7 @@ def _fold_inputs():
                 thetas += [s, math.nextafter(s, math.inf), math.nextafter(s, -math.inf)]
     thetas += [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                math.ulp(PI), 1e16, 2**53 + 1.0]
-    thetas += [0, 1, -1, 3, 7, -22, 10**20, True, False]
+    thetas += [0, 1, -1, 3, 7, -22, 10**20]
     thetas += [np.float32(0.1), np.float32(-3.5), np.float64(PI), np.float64(-2 * PI), np.int64(5)]
     return thetas
 
@@ -270,7 +288,7 @@ def test_scalar_correlation_matches_the_reference_fold():
             got = model.correlation(theta)
             want = model._corr(reduce_angle(theta))
             assert got.hex() == want.hex(), (type(model).__name__, theta)
-        for bad in (math.nan, math.inf, -math.inf, None, "abc"):
+        for bad in (math.nan, math.inf, -math.inf, None, "abc", True, False, 10**400):
             with pytest.raises(Exception) as got:
                 model.correlation(bad)
             with pytest.raises(Exception) as want:
@@ -497,15 +515,22 @@ def test_apply_jamming_reads_strength_as_a_json_number(strength):
 
 
 def test_box_checks_read_none_as_the_probability_tolerance():
-    # None gave the geometric default, 1e-9
+    # tol=None gave the geometric default, 1e-9; both checks now run at
+    # PROB_TOL alone
     probs = np.full((2, 2, 2, 2), 0.25)
     probs[0, 0] = [[0.45, 0.45], [0.05, 0.05]]
     box = NoSignallingBox(probs)
-    for tol in (None, PROB_TOL):
-        report = check_no_signalling(box, tol=tol)
-        assert (report.passed, report.tol) == (False, PROB_TOL)
+    report = check_no_signalling(box)
+    assert (report.passed, report.max_deviation, report.tol) == (False, 0.4, PROB_TOL)
     assert check_unary(box, apply_jamming(box, 0.5)).tol == PROB_TOL
-    assert check_no_signalling(box, tol=0.5).passed
+
+
+def test_check_no_signalling_takes_no_tolerance():
+    box = builtin_box("singlet-optimal")
+    with pytest.raises(TypeError):
+        check_no_signalling(box, tol=0.5)
+    with pytest.raises(TypeError):
+        check_no_signalling(box, None)
 
 
 def test_check_unary_takes_no_tolerance():
